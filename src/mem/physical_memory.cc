@@ -1,6 +1,5 @@
 #include "src/mem/physical_memory.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -143,19 +142,28 @@ PhysicalMemory::FrameStats PhysicalMemory::frame_stats() const {
   return stats;
 }
 
-void PhysicalMemory::RestoreContents(std::vector<Word> store) {
+void PhysicalMemory::RestoreFrames(const FrameList& contents) {
+  size_t next = 0;  // next entry of contents.frames
   for (size_t i = 0; i < frames_.size(); ++i) {
-    const size_t base = i << kFrameShift;
-    const size_t count = std::min(kFrameWords, size_words_ - base);
-    const Word* incoming = store.data() + base;
-    if (std::memcmp(incoming, read_frames_[i], count * sizeof(Word)) == 0) {
+    if (next == contents.frames.size() || contents.frames[next] != i) {
+      if (frames_[i] != nullptr) {
+        Frame::Unref(frames_[i]);
+        frames_[i] = nullptr;
+        read_frames_[i] = kZeroFrameWords;
+        write_frames_[i] = nullptr;
+      }
+      continue;
+    }
+    const Word* incoming = contents.words.data() + next * kFrameWords;
+    ++next;
+    if (std::memcmp(incoming, read_frames_[i], kFrameBytes) == 0) {
       continue;  // unchanged frame stays shared (restore-into-clone fast path)
     }
     Word* dst = write_frames_[i];
     if (dst == nullptr) {
       dst = Privatize(i);
     }
-    std::memcpy(dst, incoming, count * sizeof(Word));
+    std::memcpy(dst, incoming, kFrameBytes);
   }
 }
 

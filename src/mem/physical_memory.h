@@ -146,13 +146,25 @@ class PhysicalMemory {
   Word word(AbsAddr addr) const {
     return read_frames_[addr >> kFrameShift][addr & kFrameMask];
   }
-  // Replaces the store contents. `store` must already be size() words (the
-  // snapshot reader rejects size mismatches before calling this).
-  // Frame-aware: frames whose incoming contents already match are left
-  // untouched, so restoring a snapshot into a clone of the machine that
-  // took it keeps unchanged frames shared — the restore-into-clone fast
-  // path used by fleet checkpoint restarts.
-  void RestoreContents(std::vector<Word> store);
+  // True while frame `frame_index` still aliases the immortal zero frame,
+  // so the snapshot writer can skip it without reading its words.
+  bool aliases_zero_frame(size_t frame_index) const { return frames_[frame_index] == nullptr; }
+
+  // A sparse picture of a whole store: the listed frames' contents, every
+  // other frame zero. `words` holds kFrameWords words per entry of
+  // `frames` (ascending, distinct, < frame count), in the same order; the
+  // words of a last partial frame past size() must be zero.
+  struct FrameList {
+    std::vector<size_t> frames;
+    std::vector<Word> words;
+  };
+  // Replaces the store contents with `contents`, at a cost proportional to
+  // the listed frames plus one pass over the frame table. A listed frame
+  // whose contents already match is left untouched, so restoring a
+  // snapshot into a clone of the machine that took it keeps unchanged
+  // frames shared — the restore-into-clone fast path used by fleet
+  // checkpoint restarts. An unlisted frame drops back to the zero frame.
+  void RestoreFrames(const FrameList& contents);
   void RestoreAllocator(AbsAddr next_free) { next_free_ = next_free; }
   void RestoreFaultLatch(std::optional<MemoryFault> fault, uint64_t fault_count) {
     latched_fault_ = fault;

@@ -28,6 +28,17 @@ uint64_t SourceIdentity(const std::string& source) {
   return h;
 }
 
+// The daemon's host engine settings, shared by golden builds and image
+// restores.
+MachineConfig EngineConfig(const ServeConfig& serve) {
+  MachineConfig config;
+  config.fast_path = serve.fast_path;
+  config.block_engine = serve.block_engine;
+  config.chain = serve.chain;
+  config.shared_decode = serve.shared_decode;
+  return config;
+}
+
 }  // namespace
 
 std::string_view ServeStatusName(ServeStatus status) {
@@ -249,12 +260,7 @@ bool Server::Materialize(Task* task) {
       Retire(task, ServeStatus::kFailed, std::move(error));
       return false;
     }
-    MachineConfig config;
-    config.memory_words = meta.memory_words;
-    config.cycle_model = meta.cycle_model;
-    config.quantum = meta.quantum;
-    config.mode = meta.mode;
-    machine = std::make_unique<Machine>(config);
+    machine = std::make_unique<Machine>(RestoreConfig(meta, EngineConfig(config_)));
     if (!machine->ok() || !RestoreSnapshot(sub.image, machine.get(), &error)) {
       Retire(task, ServeStatus::kFailed,
              machine->ok() ? std::move(error) : "machine construction failed");
@@ -282,12 +288,8 @@ bool Server::Materialize(Task* task) {
             build_error = manifest.error;
             return nullptr;
           }
-          MachineConfig config;
+          MachineConfig config = EngineConfig(config_);
           config.memory_words = config_.machine_memory_words;
-          config.fast_path = config_.fast_path;
-          config.block_engine = config_.block_engine;
-          config.chain = config_.chain;
-          config.shared_decode = config_.shared_decode;
           auto golden_machine = std::make_unique<Machine>(config);
           if (!golden_machine->ok()) {
             build_error = "machine construction failed";

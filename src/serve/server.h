@@ -49,13 +49,13 @@ struct ServeConfig {
   size_t machine_memory_words = size_t{1} << 22;
   // Per-submission cycle cap when the submission does not set one.
   uint64_t default_max_cycles = 100'000'000;
-  // Host engine configuration for machines built from source (image
-  // submissions restore under their snapshot's own config). Host-only —
-  // simulated results are bit-identical across all settings — but folded
-  // into the golden-image identity so a golden built under one engine
-  // configuration never serves another. bench_serve wires these to the
-  // RINGS_BLOCK_ENGINE / RINGS_CHAIN / RINGS_SHARED_DECODE CI ablation
-  // hooks.
+  // Host engine configuration for every machine the daemon builds: from
+  // source, and from images (which carry their machine shape but no
+  // engine settings). Host-only — simulated results are bit-identical
+  // across all settings — but folded into the golden-image identity so a
+  // golden built under one engine configuration never serves another.
+  // bench_serve wires these to the RINGS_BLOCK_ENGINE / RINGS_CHAIN /
+  // RINGS_SHARED_DECODE CI ablation hooks.
   bool fast_path = true;
   bool block_engine = true;
   bool chain = true;

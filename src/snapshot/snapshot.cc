@@ -1,5 +1,6 @@
 #include "src/snapshot/snapshot.h"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <deque>
@@ -515,15 +516,25 @@ std::vector<uint8_t> EncodeMemory(const Machine& machine) {
   // Zero-run RLE over the core store: the typical machine allocates a few
   // hundred K words out of a multi-megaword store, so images stay compact.
   // Read through the non-latching word() accessor — the COW store has no
-  // contiguous backing array to hand out.
+  // contiguous backing array to hand out. A zero run steps over a whole
+  // frame still aliasing the zero frame at once, so saving costs the
+  // populated frames, not the store size; the runs (and bytes) are the
+  // same as a word-by-word scan's.
   const size_t size = memory.size();
   w.U64(size);
   size_t i = 0;
   while (i < size) {
     size_t j = i;
     if (memory.word(i) == 0) {
-      while (j < size && memory.word(j) == 0) {
-        ++j;
+      while (j < size) {
+        if ((j & PhysicalMemory::kFrameMask) == 0 &&
+            memory.aliases_zero_frame(j >> PhysicalMemory::kFrameShift)) {
+          j = std::min(j + PhysicalMemory::kFrameWords, size);
+        } else if (memory.word(j) == 0) {
+          ++j;
+        } else {
+          break;
+        }
       }
       w.U8(0);
       w.U64(j - i);
@@ -731,7 +742,7 @@ struct DecodedMemory {
   AbsAddr next_free = 0;
   uint64_t fault_count = 0;
   std::optional<MemoryFault> latched;
-  std::vector<Word> store;
+  PhysicalMemory::FrameList frames;  // only the frames holding a nonzero word
 };
 
 struct DecodedCpu {
@@ -792,6 +803,10 @@ bool SectionError(Reader* r, Section id, std::string* error) {
 bool DecodeMeta(const SectionSpan& span, SnapshotMeta* meta, std::string* error) {
   Reader r(span.data, span.size);
   meta->memory_words = r.U64();
+  if (r.ok() && meta->memory_words > kMaxSnapshotMemoryWords) {
+    r.Fail(StrFormat("implausible store size %llu words",
+                     static_cast<unsigned long long>(meta->memory_words)));
+  }
   const uint8_t mode = r.U8();
   if (r.ok() && mode > static_cast<uint8_t>(ProtectionMode::kFlags645)) {
     r.Fail(StrFormat("protection mode %u out of range", mode));
@@ -811,7 +826,12 @@ bool DecodeMeta(const SectionSpan& span, SnapshotMeta* meta, std::string* error)
   return SectionError(&r, Section::kMeta, error);
 }
 
-bool DecodeMemory(const SectionSpan& span, DecodedMemory* out, std::string* error) {
+// Decodes the memory section of an image for a `machine_words`-word
+// store. Only the frames holding a nonzero word are kept: each costs the
+// image at least one 8-byte literal, so the decoded size follows the
+// image's bytes, never the store size it declares.
+bool DecodeMemory(const SectionSpan& span, uint64_t machine_words, DecodedMemory* out,
+                  std::string* error) {
   Reader r(span.data, span.size);
   out->next_free = r.U64();
   out->fault_count = r.U64();
@@ -822,13 +842,18 @@ bool DecodeMemory(const SectionSpan& span, DecodedMemory* out, std::string* erro
     out->latched = fault;
   }
   const uint64_t words = r.U64();
-  if (r.ok() && words > (uint64_t{1} << 34)) {
+  if (r.ok() && words > kMaxSnapshotMemoryWords) {
     r.Fail(StrFormat("implausible store size %llu words", static_cast<unsigned long long>(words)));
+  }
+  if (r.ok() && words != machine_words) {
+    r.Fail(StrFormat("memory section carries %llu words for a %llu-word machine",
+                     static_cast<unsigned long long>(words),
+                     static_cast<unsigned long long>(machine_words)));
   }
   if (!r.ok()) {
     return SectionError(&r, Section::kMemory, error);
   }
-  out->store.assign(static_cast<size_t>(words), 0);
+  PhysicalMemory::FrameList& frames = out->frames;
   uint64_t filled = 0;
   while (r.ok() && filled < words) {
     const uint8_t tag = r.U8();
@@ -843,12 +868,21 @@ bool DecodeMemory(const SectionSpan& span, DecodedMemory* out, std::string* erro
       break;
     }
     if (tag == 0) {
-      filled += count;  // the store is pre-zeroed
+      filled += count;  // unlisted frames restore as zero
     } else if (tag == 1) {
-      for (uint64_t k = 0; k < count && r.ok(); ++k) {
-        out->store[static_cast<size_t>(filled + k)] = r.U64();
+      for (const uint64_t end = filled + count; filled < end && r.ok(); ++filled) {
+        const Word value = r.U64();
+        if (value == 0) {
+          continue;
+        }
+        const size_t frame = static_cast<size_t>(filled >> PhysicalMemory::kFrameShift);
+        if (frames.frames.empty() || frames.frames.back() != frame) {
+          frames.frames.push_back(frame);
+          frames.words.resize(frames.words.size() + PhysicalMemory::kFrameWords, 0);
+        }
+        const size_t base = frames.words.size() - PhysicalMemory::kFrameWords;
+        frames.words[base + (filled & PhysicalMemory::kFrameMask)] = value;
       }
-      filled += count;
     } else {
       r.Fail(StrFormat("unknown memory run tag %u", tag));
     }
@@ -1130,6 +1164,14 @@ bool SameCycleModel(const CycleModel& a, const CycleModel& b) {
 // Public API.
 // --------------------------------------------------------------------------
 
+MachineConfig RestoreConfig(const SnapshotMeta& meta, MachineConfig engine) {
+  engine.memory_words = static_cast<size_t>(meta.memory_words);
+  engine.cycle_model = meta.cycle_model;
+  engine.quantum = meta.quantum;
+  engine.mode = meta.mode;
+  return engine;
+}
+
 bool SaveSnapshot(const Machine& machine, std::vector<uint8_t>* out, std::string* error,
                   FaultInjector* write_injector) {
   if (!machine.ok()) {
@@ -1206,26 +1248,12 @@ bool RestoreSnapshot(const uint8_t* data, size_t size, Machine* machine, std::st
     return spans[static_cast<size_t>(id) - 1];
   };
 
-  // Decode everything host-side first: a structurally invalid image is
-  // rejected before any machine state changes.
+  // Check the image's machine shape first, then decode everything
+  // host-side: a structurally invalid or incompatible image is rejected
+  // before any machine state changes, and the memory section decodes
+  // knowing the store it must fill.
   SnapshotMeta meta;
-  DecodedMemory memory;
-  DecodedCpu cpu;
-  Segno next_segno = 0;
-  std::vector<RegisteredSegment> segments;
-  DecodedSupervisor sup;
-  bool trace_enabled = false;
-  std::deque<TraceEvent> trace_events;
-  DecodedFault fault;
-  DecodedDevice device;
-  if (!DecodeMeta(span(Section::kMeta), &meta, error) ||
-      !DecodeMemory(span(Section::kMemory), &memory, error) ||
-      !DecodeCpu(span(Section::kCpu), &cpu, error) ||
-      !DecodeRegistry(span(Section::kRegistry), &next_segno, &segments, error) ||
-      !DecodeSupervisor(span(Section::kSupervisor), &sup, error) ||
-      !DecodeTrace(span(Section::kTrace), &trace_enabled, &trace_events, error) ||
-      !DecodeFault(span(Section::kFault), &fault, error) ||
-      !DecodeDevice(span(Section::kDevice), &device, error)) {
+  if (!DecodeMeta(span(Section::kMeta), &meta, error)) {
     return false;
   }
   if (!machine->ok()) {
@@ -1242,24 +1270,35 @@ bool RestoreSnapshot(const uint8_t* data, size_t size, Machine* machine, std::st
     }
     return false;
   }
-  if (memory.store.size() != machine->memory().size()) {
-    if (error != nullptr) {
-      *error = StrFormat("memory section carries %zu words for a %zu-word machine",
-                         memory.store.size(), machine->memory().size());
-    }
-    return false;
-  }
   if (!SameCycleModel(meta.cycle_model, machine->config().cycle_model)) {
     if (error != nullptr) {
       *error = "image cycle model does not match the machine's (trajectories would diverge)";
     }
     return false;
   }
+  DecodedMemory memory;
+  DecodedCpu cpu;
+  Segno next_segno = 0;
+  std::vector<RegisteredSegment> segments;
+  DecodedSupervisor sup;
+  bool trace_enabled = false;
+  std::deque<TraceEvent> trace_events;
+  DecodedFault fault;
+  DecodedDevice device;
+  if (!DecodeMemory(span(Section::kMemory), meta.memory_words, &memory, error) ||
+      !DecodeCpu(span(Section::kCpu), &cpu, error) ||
+      !DecodeRegistry(span(Section::kRegistry), &next_segno, &segments, error) ||
+      !DecodeSupervisor(span(Section::kSupervisor), &sup, error) ||
+      !DecodeTrace(span(Section::kTrace), &trace_enabled, &trace_events, error) ||
+      !DecodeFault(span(Section::kFault), &fault, error) ||
+      !DecodeDevice(span(Section::kDevice), &device, error)) {
+    return false;
+  }
 
   // Apply, in dependency order. Core store first; then flush every derived
   // host-side cache BEFORE reinstating counters, so the flushes' host-only
   // counter bumps are overwritten by the image's exact values.
-  machine->memory().RestoreContents(std::move(memory.store));
+  machine->memory().RestoreFrames(memory.frames);
   machine->memory().RestoreAllocator(memory.next_free);
   machine->memory().RestoreFaultLatch(memory.latched, memory.fault_count);
 

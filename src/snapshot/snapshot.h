@@ -40,6 +40,11 @@ namespace rings {
 inline constexpr uint32_t kSnapshotMagic = 0x52494E47u;
 inline constexpr uint32_t kSnapshotVersion = 1;
 
+// The largest core store an image may declare (2^34 words). Larger sizes
+// are rejected as implausible when the meta section is read, before
+// anything is built from them.
+inline constexpr uint64_t kMaxSnapshotMemoryWords = uint64_t{1} << 34;
+
 // Machine-shape facts needed to construct a compatible Machine before
 // restoring (ringsim --restore reads these without decoding the rest).
 struct SnapshotMeta {
@@ -49,6 +54,12 @@ struct SnapshotMeta {
   int64_t trap_storm_limit = 64;
   CycleModel cycle_model{};
 };
+
+// The configuration of a machine to restore an image into: the image's
+// machine shape (memory size, cycle model, quantum, protection mode) over
+// `engine`'s host settings (fast path, block engine, chain, shared
+// decode, ...), which images do not carry.
+MachineConfig RestoreConfig(const SnapshotMeta& meta, MachineConfig engine);
 
 // Serializes `machine` (which must be at a Machine::Run boundary — the
 // fleet checkpoints between quanta, ringsim after Run returns). When
@@ -66,7 +77,8 @@ inline bool VerifySnapshot(const std::vector<uint8_t>& image, std::string* error
   return VerifySnapshot(image.data(), image.size(), error);
 }
 
-// Reads the meta section (after a full VerifySnapshot pass).
+// Reads the meta section (after a full VerifySnapshot pass), rejecting a
+// store size above kMaxSnapshotMemoryWords.
 bool PeekSnapshotMeta(const uint8_t* data, size_t size, SnapshotMeta* meta, std::string* error);
 inline bool PeekSnapshotMeta(const std::vector<uint8_t>& image, SnapshotMeta* meta,
                              std::string* error) {
@@ -77,9 +89,11 @@ inline bool PeekSnapshotMeta(const std::vector<uint8_t>& image, SnapshotMeta* me
 // constructed with the same memory size and cycle model as the image
 // (the same factory/config that produced the snapshotted machine); the
 // image is fully verified and decoded before any machine state is
-// touched, so a rejected image leaves the machine unchanged. When
-// `read_injector` is supplied, the kSnapshotRead fault site may damage
-// one byte of the image on its way in (the CRCs then reject it).
+// touched, so a rejected image leaves the machine unchanged. Memory is
+// decoded and restored frame by frame, so the cost follows the image's
+// populated frames, not the store size. When `read_injector` is
+// supplied, the kSnapshotRead fault site may damage one byte of the image
+// on its way in (the CRCs then reject it).
 bool RestoreSnapshot(const uint8_t* data, size_t size, Machine* machine, std::string* error,
                      FaultInjector* read_injector = nullptr);
 inline bool RestoreSnapshot(const std::vector<uint8_t>& image, Machine* machine,

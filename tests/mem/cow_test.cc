@@ -4,6 +4,7 @@
 // store's observable read/write/latch semantics.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "src/mem/physical_memory.h"
@@ -151,17 +152,32 @@ TEST(CowMemory, PendingLatchCopiesIntoClone) {
   EXPECT_EQ(clone.fault_count(), 1u);
 }
 
+// A frame-list image holding `words` (address, value pairs in ascending
+// address order): one listed frame per frame those addresses touch, every
+// other word zero.
+PhysicalMemory::FrameList ListOf(const std::vector<std::pair<AbsAddr, Word>>& words) {
+  PhysicalMemory::FrameList list;
+  for (const auto& [addr, value] : words) {
+    const size_t frame = addr >> PhysicalMemory::kFrameShift;
+    if (list.frames.empty() || list.frames.back() != frame) {
+      list.frames.push_back(frame);
+      list.words.resize(list.words.size() + PhysicalMemory::kFrameWords, 0);
+    }
+    const size_t base = list.words.size() - PhysicalMemory::kFrameWords;
+    list.words[base + (addr & PhysicalMemory::kFrameMask)] = value;
+  }
+  return list;
+}
+
 TEST(CowMemory, RestoreIdenticalContentsKeepsFramesShared) {
   PhysicalMemory parent(kWords);
   parent.Write(5, 111);
   PhysicalMemory clone(parent, PhysicalMemory::CowClone{});
 
-  // Rebuild the parent's exact contents and restore them into the clone:
-  // every frame matches, so nothing privatizes (the restore-into-clone
-  // fast path).
-  std::vector<Word> store(kWords, 0);
-  store[5] = 111;
-  clone.RestoreContents(std::move(store));
+  // Restore the parent's exact contents into the clone: every listed
+  // frame matches, so nothing privatizes (the restore-into-clone fast
+  // path).
+  clone.RestoreFrames(ListOf({{5, 111}}));
   EXPECT_EQ(clone.frames_privatized(), 0u);
   EXPECT_EQ(clone.frame_stats().shared_frames, 1u);
   EXPECT_EQ(clone.Read(5), 111u);
@@ -173,10 +189,8 @@ TEST(CowMemory, RestoreDifferingContentsPrivatizesOnlyChangedFrames) {
   parent.Write(PhysicalMemory::kFrameWords + 3, 222);
   PhysicalMemory clone(parent, PhysicalMemory::CowClone{});
 
-  std::vector<Word> store(kWords, 0);
-  store[5] = 111;                                  // frame 0 unchanged
-  store[PhysicalMemory::kFrameWords + 3] = 555;    // frame 1 differs
-  clone.RestoreContents(std::move(store));
+  // Frame 0 is unchanged, frame 1 differs.
+  clone.RestoreFrames(ListOf({{5, 111}, {PhysicalMemory::kFrameWords + 3, 555}}));
   EXPECT_EQ(clone.frames_privatized(), 1u);
   EXPECT_EQ(clone.Read(5), 111u);
   EXPECT_EQ(clone.Read(PhysicalMemory::kFrameWords + 3), 555u);
@@ -184,6 +198,32 @@ TEST(CowMemory, RestoreDifferingContentsPrivatizesOnlyChangedFrames) {
   const PhysicalMemory::FrameStats stats = clone.frame_stats();
   EXPECT_EQ(stats.shared_frames, 1u);   // frame 0 still aliased
   EXPECT_EQ(stats.private_frames, 1u);  // frame 1 copied
+}
+
+TEST(CowMemory, RestoreUnlistedFrameDropsToZeroFrame) {
+  PhysicalMemory parent(kWords);
+  parent.Write(5, 111);
+  parent.Write(PhysicalMemory::kFrameWords + 3, 222);
+  PhysicalMemory clone(parent, PhysicalMemory::CowClone{});
+  clone.Write(2 * PhysicalMemory::kFrameWords, 333);  // a private frame too
+  const size_t zero_before = clone.frame_stats().zero_frames;
+
+  // The image's frames 1 and 2 are all zero, so only frame 0 is listed.
+  clone.RestoreFrames(ListOf({{5, 111}}));
+  EXPECT_EQ(clone.Read(PhysicalMemory::kFrameWords + 3), 0u);
+  EXPECT_EQ(clone.Read(2 * PhysicalMemory::kFrameWords), 0u);
+  EXPECT_EQ(clone.Read(5), 111u);
+  const PhysicalMemory::FrameStats stats = clone.frame_stats();
+  EXPECT_EQ(stats.zero_frames, zero_before + 2);
+  EXPECT_EQ(stats.shared_frames, 1u);
+  EXPECT_EQ(stats.private_frames, 0u);
+  // The parent's frame was only unaliased, never written.
+  EXPECT_EQ(parent.Read(PhysicalMemory::kFrameWords + 3), 222u);
+  EXPECT_EQ(parent.Read(5), 111u);
+  // A dropped frame privatizes afresh, zeroed, on its next store.
+  clone.Write(PhysicalMemory::kFrameWords + 4, 1);
+  EXPECT_EQ(clone.Read(PhysicalMemory::kFrameWords + 3), 0u);
+  EXPECT_EQ(parent.Read(PhysicalMemory::kFrameWords + 4), 0u);
 }
 
 TEST(CowMemory, NonFrameMultipleSizeWorks) {
@@ -197,10 +237,9 @@ TEST(CowMemory, NonFrameMultipleSizeWorks) {
 
   PhysicalMemory clone(memory, PhysicalMemory::CowClone{});
   EXPECT_EQ(clone.Read(odd - 1), 7u);
-  std::vector<Word> store(odd, 0);
-  store[odd - 1] = 7;
-  clone.RestoreContents(std::move(store));  // partial-frame compare path
+  clone.RestoreFrames(ListOf({{odd - 1, 7}}));  // partial last frame
   EXPECT_EQ(clone.frames_privatized(), 0u);
+  EXPECT_EQ(clone.Read(odd - 1), 7u);
 }
 
 }  // namespace

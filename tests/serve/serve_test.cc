@@ -14,6 +14,7 @@
 #include "src/snapshot/snapshot.h"
 #include "src/sys/machine.h"
 #include "src/sys/manifest.h"
+#include "tests/snapshot/image_surgery.h"
 
 namespace rings {
 namespace {
@@ -260,6 +261,28 @@ TEST(Serve, MalformedSubmissionsAreRejectedOrFailed) {
   EXPECT_EQ(failed.status, ServeStatus::kFailed);
   EXPECT_FALSE(failed.error.empty());
   EXPECT_EQ(failed.exit_code, 111);
+}
+
+TEST(Serve, ImplausibleImageStoreSizeIsRejectedAtSubmit) {
+  // A well-formed image (every CRC valid) whose meta declares a 2^50-word
+  // store is refused before any machine is built from it.
+  const AssembleResult assembled = Assemble(kCallLoopGuest);
+  ASSERT_TRUE(assembled.ok);
+  const Manifest manifest = ParseManifest(kCallLoopGuest);
+  ASSERT_TRUE(manifest.ok());
+  Machine machine{MachineConfig{}};
+  std::string error;
+  ASSERT_TRUE(InstantiateGuest(assembled.program, manifest, &machine, &error)) << error;
+  std::vector<uint8_t> image;
+  ASSERT_TRUE(SaveSnapshot(machine, &image, &error)) << error;
+
+  Server server(ServeConfig{.threads = 1});
+  Submission submission;
+  submission.image = image_surgery::WithMetaWords(image, uint64_t{1} << 50);
+  const Completion completion = server.Wait(server.Submit(std::move(submission)));
+  EXPECT_EQ(completion.status, ServeStatus::kRejected) << completion.ToString();
+  EXPECT_EQ(completion.error.rfind("snapshot image invalid: ", 0), 0u) << completion.error;
+  EXPECT_NE(completion.error.find("implausible store size"), std::string::npos) << completion.error;
 }
 
 TEST(Serve, ShutdownDrainsQueuedWorkAndRefusesNew) {

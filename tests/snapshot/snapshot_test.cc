@@ -18,6 +18,7 @@
 #include "src/fleet/fingerprint.h"
 #include "src/mem/page_table.h"
 #include "src/sys/machine.h"
+#include "tests/snapshot/image_surgery.h"
 
 namespace rings {
 namespace {
@@ -436,6 +437,188 @@ TEST(Snapshot, CycleModelMismatchIsRejected) {
   std::string error;
   EXPECT_FALSE(RestoreSnapshot(image, &target, &error));
   EXPECT_NE(error.find("cycle model"), std::string::npos) << error;
+}
+
+// ---------------------------------------------------------------------------
+// Image bytes and frame-sparse memory: saving skips frames still aliasing
+// the zero frame and restoring keeps only the image's populated frames,
+// without changing a byte of the format.
+// ---------------------------------------------------------------------------
+
+constexpr AbsAddr kZeroedFrameBase = AbsAddr{1} << 21;
+
+// The guest whose image bytes are pinned: the call loop on the reference
+// engine of a default-size machine, cut at 3,000 cycles, plus host-side
+// stores into the unallocated top of the store — a frame privatized and
+// then zeroed again (an all-zero private frame inside the long zero run),
+// and a nonzero pair straddling a frame boundary, followed by a private
+// frame's zero tail and then zero-frame aliases.
+std::unique_ptr<Machine> MakePinnedMachine() {
+  MachineConfig config;
+  config.fast_path = false;
+  config.block_engine = false;
+  std::unique_ptr<Machine> live = MakeCallLoopMachine(config);
+  if (live == nullptr) {
+    return nullptr;
+  }
+  live->Run(3'000);
+  PhysicalMemory& memory = live->memory();
+  memory.Write(kZeroedFrameBase + 17, 0xABCDEF);
+  memory.Write(kZeroedFrameBase + 17, 0);
+  memory.Write(kZeroedFrameBase + 3 * PhysicalMemory::kFrameWords - 1, 0x1234);
+  memory.Write(kZeroedFrameBase + 3 * PhysicalMemory::kFrameWords, 0x5678);
+  return live;
+}
+
+// Length and CRC-32 of MakePinnedMachine's image, as the word-by-word
+// run-length encoder wrote it before saving skipped zero frames.
+constexpr size_t kPinnedImageBytes = 43079;
+constexpr uint32_t kPinnedImageCrc = 0xFEED0F72u;
+
+TEST(SnapshotImage, SaveBytesArePinned) {
+  std::unique_ptr<Machine> live = MakePinnedMachine();
+  ASSERT_NE(live, nullptr);
+  EXPECT_FALSE(live->memory().aliases_zero_frame(kZeroedFrameBase >> PhysicalMemory::kFrameShift));
+  std::vector<uint8_t> image;
+  std::string error;
+  ASSERT_TRUE(SaveSnapshot(*live, &image, &error)) << error;
+  EXPECT_EQ(image.size(), kPinnedImageBytes);
+  EXPECT_EQ(image_surgery::Crc32(image), kPinnedImageCrc);
+}
+
+TEST(SnapshotImage, RestoreKeepsOnlyPopulatedFramesAndResavesIdentically) {
+  std::unique_ptr<Machine> live = MakePinnedMachine();
+  ASSERT_NE(live, nullptr);
+  std::vector<uint8_t> image;
+  std::string error;
+  ASSERT_TRUE(SaveSnapshot(*live, &image, &error)) << error;
+
+  Machine restored(live->config());
+  ASSERT_TRUE(RestoreSnapshot(image, &restored, &error)) << error;
+  // The zeroed frame comes back as a zero-frame alias; the frames holding
+  // a nonzero word come back private.
+  const PhysicalMemory& memory = restored.memory();
+  constexpr size_t kZeroedFrame = kZeroedFrameBase >> PhysicalMemory::kFrameShift;
+  EXPECT_TRUE(memory.aliases_zero_frame(kZeroedFrame));
+  EXPECT_FALSE(memory.aliases_zero_frame(kZeroedFrame + 2));
+  EXPECT_FALSE(memory.aliases_zero_frame(kZeroedFrame + 3));
+  EXPECT_EQ(memory.frame_stats().private_frames, live->memory().frame_stats().private_frames - 1);
+  EXPECT_EQ(memory.Read(kZeroedFrameBase + 3 * PhysicalMemory::kFrameWords), 0x5678u);
+
+  std::vector<uint8_t> resaved;
+  ASSERT_TRUE(SaveSnapshot(restored, &resaved, &error)) << error;
+  EXPECT_EQ(resaved, image);
+}
+
+TEST(SnapshotImage, RestoreZeroesFramesTheImageDoesNotHold) {
+  const MachineConfig config;
+  std::unique_ptr<Machine> live = MakeCallLoopMachine(config);
+  ASSERT_NE(live, nullptr);
+  live->Run(3'000);
+  std::vector<uint8_t> image;
+  std::string error;
+  ASSERT_TRUE(SaveSnapshot(*live, &image, &error)) << error;
+
+  // Run on and dirty a frame the image holds as zero, then restore the
+  // earlier image over the same machine.
+  live->Run(2'000);
+  live->memory().Write(kZeroedFrameBase, 99);
+  ASSERT_TRUE(RestoreSnapshot(image, live.get(), &error)) << error;
+  EXPECT_EQ(live->memory().Read(kZeroedFrameBase), 0u);
+  EXPECT_TRUE(live->memory().aliases_zero_frame(kZeroedFrameBase >> PhysicalMemory::kFrameShift));
+  std::vector<uint8_t> resaved;
+  ASSERT_TRUE(SaveSnapshot(*live, &resaved, &error)) << error;
+  EXPECT_EQ(resaved, image);
+}
+
+// A well-formed image (every CRC valid) declaring a 2^33-word store that
+// is zero throughout: restore must not allocate for the declared size. It
+// either restores or fails with a structured error; here it restores.
+TEST(SnapshotImage, HugeZeroStoreRestoresSparsely) {
+  constexpr uint64_t kWords = uint64_t{1} << 33;
+  const std::vector<uint8_t> image =
+      image_surgery::AsZeroStore(MakeValidImage(MachineConfig{}), kWords);
+  std::string error;
+  ASSERT_TRUE(VerifySnapshot(image, &error)) << error;
+  SnapshotMeta meta;
+  ASSERT_TRUE(PeekSnapshotMeta(image, &meta, &error)) << error;
+  EXPECT_EQ(meta.memory_words, kWords);
+
+  Machine machine(RestoreConfig(meta, MachineConfig{}));
+  ASSERT_TRUE(machine.ok());
+  ASSERT_TRUE(RestoreSnapshot(image, &machine, &error)) << error;
+  const PhysicalMemory::FrameStats stats = machine.memory().frame_stats();
+  EXPECT_EQ(stats.frames, kWords >> PhysicalMemory::kFrameShift);
+  EXPECT_EQ(stats.zero_frames, stats.frames);
+  EXPECT_EQ(machine.memory().Read(kWords - 1), 0u);
+
+  // Into a default-size machine it is a structured shape mismatch.
+  Machine small(MachineConfig{});
+  const uint64_t untouched = FingerprintMachine(small);
+  EXPECT_FALSE(RestoreSnapshot(image, &small, &error));
+  EXPECT_NE(error.find("does not match"), std::string::npos) << error;
+  EXPECT_EQ(FingerprintMachine(small), untouched);
+}
+
+// A well-formed image whose meta declares a 2^50-word store is refused
+// when its meta is read, before any machine is built from it.
+TEST(SnapshotImage, ImplausibleStoreSizeIsRejectedAtMeta) {
+  const std::vector<uint8_t> valid = MakeValidImage(MachineConfig{});
+  const std::vector<uint8_t> image = image_surgery::WithMetaWords(valid, uint64_t{1} << 50);
+  std::string error;
+  ASSERT_TRUE(VerifySnapshot(image, &error)) << error;
+  SnapshotMeta meta;
+  EXPECT_FALSE(PeekSnapshotMeta(image, &meta, &error));
+  EXPECT_NE(error.find("implausible store size"), std::string::npos) << error;
+
+  Machine target(MachineConfig{});
+  const uint64_t untouched = FingerprintMachine(target);
+  error.clear();
+  EXPECT_FALSE(RestoreSnapshot(image, &target, &error));
+  EXPECT_NE(error.find("implausible store size"), std::string::npos) << error;
+  EXPECT_EQ(FingerprintMachine(target), untouched);
+
+  // The limit itself is plausible.
+  const std::vector<uint8_t> at_limit =
+      image_surgery::WithMetaWords(valid, kMaxSnapshotMemoryWords);
+  EXPECT_TRUE(PeekSnapshotMeta(at_limit, &meta, &error)) << error;
+  EXPECT_EQ(meta.memory_words, kMaxSnapshotMemoryWords);
+  const std::vector<uint8_t> over_limit =
+      image_surgery::WithMetaWords(valid, kMaxSnapshotMemoryWords + 1);
+  EXPECT_FALSE(PeekSnapshotMeta(over_limit, &meta, &error));
+}
+
+TEST(SnapshotImage, RestoreConfigTakesShapeFromImageAndEngineFromCaller) {
+  SnapshotMeta meta;
+  meta.memory_words = uint64_t{1} << 20;
+  meta.mode = ProtectionMode::kFlags645;
+  meta.quantum = 1234;
+  meta.cycle_model.trap = 99;
+  MachineConfig engine;
+  engine.memory_words = 7;
+  engine.quantum = 1;
+  engine.fast_path = false;
+  engine.block_engine = false;
+  engine.chain = false;
+  engine.shared_decode = false;
+  const MachineConfig config = RestoreConfig(meta, engine);
+  EXPECT_EQ(config.memory_words, size_t{1} << 20);
+  EXPECT_EQ(config.mode, ProtectionMode::kFlags645);
+  EXPECT_EQ(config.quantum, 1234);
+  EXPECT_EQ(config.cycle_model.trap, 99u);
+  EXPECT_EQ(config.cycle_model.instruction_base, CycleModel{}.instruction_base);
+  EXPECT_FALSE(config.fast_path);
+  EXPECT_FALSE(config.block_engine);
+  EXPECT_FALSE(config.chain);
+  EXPECT_FALSE(config.shared_decode);
+
+  // An image restores into its RestoreConfig machine under any engine.
+  const std::vector<uint8_t> image = MakeValidImage(MachineConfig{});
+  std::string error;
+  ASSERT_TRUE(PeekSnapshotMeta(image, &meta, &error)) << error;
+  Machine restored(RestoreConfig(meta, engine));
+  ASSERT_TRUE(RestoreSnapshot(image, &restored, &error)) << error;
+  EXPECT_FALSE(restored.config().block_engine);
 }
 
 TEST(Snapshot, FileRoundTripAndFileErrors) {

@@ -255,16 +255,12 @@ int RunRestore(const std::string& restore_path, const std::string& snapshot_out,
     std::fprintf(stderr, "ringsim: restore: %s: %s\n", restore_path.c_str(), error.c_str());
     return 2;
   }
-  MachineConfig config;
-  config.memory_words = meta.memory_words;
-  config.cycle_model = meta.cycle_model;
-  config.quantum = meta.quantum;
-  config.mode = meta.mode;
-  config.fast_path = fast_path;
-  config.block_engine = block_engine;
-  config.chain = chain;
-  config.shared_decode = shared_decode;
-  Machine machine(config);
+  MachineConfig engine;
+  engine.fast_path = fast_path;
+  engine.block_engine = block_engine;
+  engine.chain = chain;
+  engine.shared_decode = shared_decode;
+  Machine machine(RestoreConfig(meta, engine));
   if (!machine.ok()) {
     std::fprintf(stderr, "ringsim: machine construction failed\n");
     return 2;
