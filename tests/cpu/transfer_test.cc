@@ -2,6 +2,9 @@
 // for transfer instructions other than CALL/RETURN.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "tests/testutil.h"
 
 namespace rings {
@@ -128,11 +131,17 @@ TEST(Tra, BoundsChecked) {
   EXPECT_EQ(m.StepTrap(), TrapCause::kBoundsViolation);
 }
 
+// gtest names each case after the raw bytes of its parameter, so the padding
+// is spelled out and zeroed: every byte is defined and the names are stable.
 struct CondCase {
+  CondCase(Opcode o, int64_t value, bool t) : op(o), a(value), taken(t) {}
   Opcode op;
+  uint8_t pad0[7] = {};
   int64_t a;
   bool taken;
+  uint8_t pad1[7] = {};
 };
+static_assert(std::has_unique_object_representations_v<CondCase>);
 
 class ConditionalTransfer : public ::testing::TestWithParam<CondCase> {};
 
