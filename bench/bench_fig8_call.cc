@@ -93,18 +93,15 @@ const PerCallCost& SimCost() {
 // Host-time throughput of simulated downward call round trips. Machine
 // construction, assembly, and login stay outside the timed region: the
 // measurement is machine.Run() alone, so the variants isolate what the
-// address-formation fast path, the superblock engine, and block chaining
-// (with the crossing cache) buy in host wall-clock (simulated cost is
-// identical across all of them).
-void DownwardCallRoundTrip(benchmark::State& state, bool fast_path, bool block_engine,
-                           bool chain) {
+// address-formation fast path (with the crossing cache) and the
+// superblock engine (with block chaining) buy in host wall-clock
+// (simulated cost is identical across all of them).
+void DownwardCallRoundTrip(benchmark::State& state, bool fast_path, bool block_engine) {
   const std::string source = CrossingLoopSource(kCrossingsPerRun);
   const SegmentAccess target = MakeProcedureSegment(1, 1, 7, 1);
   MachineConfig config;
   config.fast_path = fast_path;
   config.block_engine = block_engine && BlockEngineEnvEnabled();
-  config.chain = chain && BlockChainEnvEnabled();
-  config.shared_decode = SharedDecodeEnvEnabled();
   WallSampler wall;
   Counters last;
   for (auto _ : state) {
@@ -140,21 +137,17 @@ void DownwardCallRoundTrip(benchmark::State& state, bool fast_path, bool block_e
 }
 
 void BM_DownwardCallRoundTrip(benchmark::State& state) {
-  DownwardCallRoundTrip(state, true, true, true);
+  DownwardCallRoundTrip(state, true, true);
 }
 void BM_DownwardCallRoundTrip_NoFastPath(benchmark::State& state) {
-  DownwardCallRoundTrip(state, false, false, false);
+  DownwardCallRoundTrip(state, false, false);
 }
 void BM_DownwardCallRoundTrip_NoBlockEngine(benchmark::State& state) {
-  DownwardCallRoundTrip(state, true, false, false);
-}
-void BM_DownwardCallRoundTrip_NoChain(benchmark::State& state) {
-  DownwardCallRoundTrip(state, true, true, false);
+  DownwardCallRoundTrip(state, true, false);
 }
 BENCHMARK(BM_DownwardCallRoundTrip)->Iterations(20)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DownwardCallRoundTrip_NoFastPath)->Iterations(20)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DownwardCallRoundTrip_NoBlockEngine)->Iterations(20)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_DownwardCallRoundTrip_NoChain)->Iterations(20)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace rings

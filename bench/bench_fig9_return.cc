@@ -102,13 +102,12 @@ void PrintReport() {
 }
 
 // Wall-clock of a fixed batch of armed RETs, sampled kMinWallSamples
-// times; the min feeds the opt-in wall gate. The crossing cache is the
-// variable under test: the site is maximally monomorphic (one RET, one
-// target, every rep), so `crossing_cache` on replays the memoized
-// resolution instead of re-fetching the SDW and re-running ResolveReturn.
-double RetWallMinNs(bool crossing_cache, uint64_t* crossing_hits = nullptr) {
+// times; the min feeds the opt-in wall gate. The site is maximally
+// monomorphic (one RET, one target, every rep), so the crossing cache
+// replays the memoized resolution instead of re-fetching the SDW and
+// re-running ResolveReturn.
+double RetWallMinNs(uint64_t* crossing_hits) {
   RetRig rig(1, 4);
-  rig.cpu.set_chain_enabled(crossing_cache);
   constexpr int kBatch = 200'000;
   WallSampler wall;
   for (int s = 0; s < kMinWallSamples; ++s) {
@@ -119,15 +118,12 @@ double RetWallMinNs(bool crossing_cache, uint64_t* crossing_hits = nullptr) {
     }
     wall.End();
   }
-  if (crossing_hits != nullptr) {
-    *crossing_hits = rig.cpu.counters().crossing_hits;
-  }
+  *crossing_hits = rig.cpu.counters().crossing_hits;
   return wall.MinNs();
 }
 
 void BM_UpwardReturn(benchmark::State& state) {
   RetRig rig(1, 4);
-  rig.cpu.set_chain_enabled(BlockChainEnvEnabled());
   for (auto _ : state) {
     rig.Arm(1, 4);
     rig.cpu.Step();
@@ -136,28 +132,14 @@ void BM_UpwardReturn(benchmark::State& state) {
   // Deterministic simulated cost, gated in CI by tools/bench_check.py.
   state.counters["sim_cycles_per_return"] = RetCycles(1, 4);
   uint64_t hits = 0;
-  state.counters["wall_min_ns"] = RetWallMinNs(BlockChainEnvEnabled(), &hits);
+  state.counters["wall_min_ns"] = RetWallMinNs(&hits);
   // Host-only effectiveness counter (fingerprint-excluded).
   state.counters["crossing_hits"] = static_cast<double>(hits);
 }
 BENCHMARK(BM_UpwardReturn);
 
-void BM_UpwardReturn_NoCrossingCache(benchmark::State& state) {
-  RetRig rig(1, 4);
-  rig.cpu.set_chain_enabled(false);
-  for (auto _ : state) {
-    rig.Arm(1, 4);
-    rig.cpu.Step();
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["sim_cycles_per_return"] = RetCycles(1, 4);
-  state.counters["wall_min_ns"] = RetWallMinNs(false);
-}
-BENCHMARK(BM_UpwardReturn_NoCrossingCache);
-
 void BM_SameRingReturn(benchmark::State& state) {
   RetRig rig(4, 4);
-  rig.cpu.set_chain_enabled(BlockChainEnvEnabled());
   for (auto _ : state) {
     rig.Arm(4, 4);
     rig.cpu.Step();

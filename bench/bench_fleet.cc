@@ -20,26 +20,18 @@
 namespace rings {
 namespace {
 
-// PrintReport's shared-vs-private decode comparison flips this between
-// fleet runs; it is written on the main thread before Fleet::Run spawns
-// the workers that read it, so the factories see a settled value.
-bool g_shared_decode = true;
-
 // Small machines: the fleet holds all members live at once, so the bench
 // keeps each core store at 2^18 words rather than the 2^22 default.
 MachineConfig FleetMachineConfig() {
   MachineConfig config;
   config.memory_words = size_t{1} << 18;
   config.block_engine = BlockEngineEnvEnabled();
-  config.chain = BlockChainEnvEnabled();
-  config.shared_decode = g_shared_decode && SharedDecodeEnvEnabled();
   return config;
 }
 
 // Peak resident set of the whole process so far, in bytes. A monotone
 // high-water mark: meaningful for the first fleet run after startup and
-// as a floor afterwards, so the report runs the smaller (shared-decode)
-// configuration first.
+// as a floor afterwards.
 double PeakRssBytes() {
   struct rusage usage {};
   if (getrusage(RUSAGE_SELF, &usage) != 0) {
@@ -257,16 +249,11 @@ void BM_FleetMixed(benchmark::State& state) {
   state.counters["sim_calls_downward"] = static_cast<double>(stats.aggregate.calls_downward);
   state.counters["sim_pages_supplied"] = static_cast<double>(stats.aggregate.pages_supplied);
   state.counters["sim_fingerprint_fold"] = fold;
-  // Host-dependent (reported, not gated). The decode counters are the
-  // fleet-sharing evidence: 12 machines running 3 distinct programs
-  // build 3 images when sharing is on, 12 when it is off.
+  // Host-dependent (reported, not gated).
   state.counters["fleet_insn_per_sec"] = insn_per_sec_best;
   state.counters["wall_min_ns"] = wall.MinNs();
   state.counters["wall_median_ns"] = wall.MedianNs();
   state.counters["chain_follows"] = static_cast<double>(stats.aggregate.chain_follows);
-  state.counters["shared_decode_builds"] =
-      static_cast<double>(stats.aggregate.shared_decode_builds);
-  state.counters["shared_decode_hits"] = static_cast<double>(stats.aggregate.shared_decode_hits);
 }
 
 BENCHMARK(BM_FleetMixed)
@@ -322,75 +309,13 @@ void PrintReport() {
               static_cast<unsigned long long>(fold));
 }
 
-// Shared-vs-private decode: the same twelve-machine mixed fleet run with
-// one decode image per distinct program (shared) and one per machine
-// (private). Builds and decode-table bytes are exact; peak RSS is a
-// process-wide monotone high-water mark, so the smaller shared
-// configuration runs first and the private figure is a floor.
-void PrintDecodeShareReport() {
-  // Per-program decode-table bytes, measured once on standalone machines
-  // with private images (keeps the process-wide registry untouched).
-  g_shared_decode = false;
-  size_t per_program_bytes = 0;
-  for (const auto make : {MakeCallLoopMachine, MakeSearchMachine, MakePagerMachine}) {
-    per_program_bytes += make()->cpu().decode_image_bytes();
-  }
-
-  struct ModeRow {
-    const char* label;
-    bool shared;
-    uint64_t builds = 0;
-    size_t decode_bytes = 0;
-    double peak_rss = 0;
-    double fold = 0;
-  };
-  ModeRow rows[] = {{"shared ", true}, {"private", false}};
-  for (ModeRow& row : rows) {
-    g_shared_decode = row.shared;
-    FleetConfig config;
-    config.threads = 4;
-    config.slice_cycles = 100'000;
-    Fleet fleet(config);
-    AddMixedFleet(&fleet);
-    const FleetStats stats = fleet.Run();
-    if (stats.completed != fleet.size()) {
-      std::fprintf(stderr, "bench_fleet: decode-share fleet did not complete:\n%s\n",
-                   stats.ToString().c_str());
-      std::abort();
-    }
-    row.builds = stats.aggregate.shared_decode_builds;
-    // Exact storage the fleet's decode tables occupied: one image per
-    // build (4 machines per program share one image when sharing is on).
-    row.decode_bytes = per_program_bytes * (row.shared ? 1 : 4);
-    row.peak_rss = PeakRssBytes();
-    row.fold = FoldFingerprints(fleet);
-  }
-  g_shared_decode = true;
-  if (rows[0].fold != rows[1].fold) {
-    std::fprintf(stderr, "bench_fleet: shared decode changed machine results\n");
-    std::abort();
-  }
-
-  std::printf("\n  shared decode (12 machines, 3 distinct programs, 4 threads):\n");
-  std::printf("  decode     images-built  decode-KiB  peak-RSS-MiB\n");
-  for (const ModeRow& row : rows) {
-    std::printf("  %s    %12llu  %10.1f  %12.1f\n", row.label,
-                static_cast<unsigned long long>(row.builds),
-                static_cast<double>(row.decode_bytes) / 1024.0,
-                row.peak_rss / (1024.0 * 1024.0));
-  }
-  std::printf("\n  fingerprint fold identical in both modes (%08llx): the image is\n"
-              "  host-only — sharing the decode changes no simulated outcome.\n",
-              static_cast<unsigned long long>(rows[0].fold));
-}
-
 // Golden-image frame sharing: N machines cloned copy-on-write from one
 // sealed pager golden. At spawn every written frame is shared with the
 // golden (a clone owns no pages of its own); the run privatizes exactly
-// the frames each clone stores to. Mirrors the decode-share report: the
-// sharing is host-only bookkeeping — every clone runs to the same
-// fingerprint a cold-booted machine does, and peak RSS is the monotone
-// high-water mark, so sizes run smallest first.
+// the frames each clone stores to. The sharing is host-only bookkeeping:
+// every clone runs to the same fingerprint a cold-booted machine does,
+// and peak RSS is the monotone high-water mark, so sizes run smallest
+// first.
 void PrintFrameShareReport() {
   auto cold = MakePagerMachine();
   cold->Run(2'000'000'000);
@@ -446,7 +371,6 @@ void PrintFrameShareReport() {
 
 int main(int argc, char** argv) {
   rings::PrintReport();
-  rings::PrintDecodeShareReport();
   rings::PrintFrameShareReport();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

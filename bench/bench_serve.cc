@@ -98,12 +98,10 @@ ServeConfig BenchServeConfig(int threads) {
   ServeConfig config;
   config.threads = threads;
   config.machine_memory_words = size_t{1} << 18;
-  // CI ablation hooks: the bench gate runs the suite with the block
-  // engine and then chaining forced off, and every pass must report the
-  // same sim_* counters and fingerprint fold.
+  // CI ablation hook: the bench gate runs the suite again with the block
+  // engine forced off, and both passes must report the same sim_*
+  // counters and fingerprint fold.
   config.block_engine = BlockEngineEnvEnabled();
-  config.chain = BlockChainEnvEnabled();
-  config.shared_decode = SharedDecodeEnvEnabled();
   return config;
 }
 

@@ -71,21 +71,6 @@ inline bool BlockEngineEnvEnabled() {
   return v == nullptr || std::string(v) != "0";
 }
 
-// RINGS_CHAIN=0: force block-to-block chaining (and the CALL/RETURN
-// crossing cache) off across the suite, same pattern as above. The CI
-// bench gate runs a third pass with this set and archives it as the
-// no-chain baseline.
-inline bool BlockChainEnvEnabled() {
-  const char* v = std::getenv("RINGS_CHAIN");
-  return v == nullptr || std::string(v) != "0";
-}
-
-// RINGS_SHARED_DECODE=0: every machine builds a private decode image.
-inline bool SharedDecodeEnvEnabled() {
-  const char* v = std::getenv("RINGS_SHARED_DECODE");
-  return v == nullptr || std::string(v) != "0";
-}
-
 struct PerCallCost {
   double cycles = 0;
   double instructions = 0;

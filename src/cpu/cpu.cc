@@ -511,7 +511,7 @@ bool Cpu::StepBlock(uint64_t cycle_bound) {
 
     // Chain point: the block completed without a trap, so regs_.ipr names
     // the architectural successor (transfer target or fall-through).
-    if (!chain_enabled_ || !b->chain_ok) {
+    if (!b->chain_ok) {
       return true;
     }
     if (cycles_ >= cycle_bound || memory_->fault_pending()) {
@@ -547,7 +547,7 @@ bool Cpu::StepBlock(uint64_t cycle_bound) {
       next = ProbeOrBuildBlock();
       if (next == nullptr) {
         // The boundary was consumed; fall back exactly as a dispatch miss
-        // does, so block formation is identical with chaining on or off.
+        // does, so block formation is identical to a fresh dispatch's.
         return StepBody();
       }
       // Patch (or repatch — a conditional site flips between targets) the
@@ -778,11 +778,12 @@ bool Cpu::FetchInstruction(Instruction* ins) {
   ++counters_.memory_reads;
   cycles_ += cycle_model_.memory_ref;
   const Word word = memory_->Read(addr);
-  // Fleet-shared decode: if this segment is backed by a published image
+  // Pre-decoded image: if this segment is backed by the load-time image
   // and the live word still matches the image's raw word, reuse the
   // pre-decoded instruction instead of decoding again. A mismatch is the
   // copy-on-write split — this machine wrote (or had patched) the word,
-  // so it decodes its own copy while fleet siblings keep the shared one.
+  // so it decodes its own copy while its clone siblings keep the shared
+  // one.
   const SharedDecodeImage::Entry* pre = DecodeImageEntry(regs_.ipr.segno, regs_.ipr.wordno);
   if (pre != nullptr && pre->raw != word) {
     ++counters_.shared_decode_misses;

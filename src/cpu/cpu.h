@@ -102,20 +102,10 @@ class Cpu {
   }
   const BlockCache& block_cache() const { return block_cache_; }
 
-  // Direct block chaining + the monomorphic CALL/RETURN crossing cache
-  // (see DESIGN.md §7). Both ride on the block engine / fast path and,
-  // like them, never change simulated cycles, counters, trap sequences,
-  // or the fault-injection stream. One switch governs both: they are two
-  // halves of the same dispatch optimization (the crossing cache is what
-  // lets a CALL-terminated block chain straight into its callee).
-  bool chain_enabled() const { return chain_enabled_; }
-  void set_chain_enabled(bool enabled) {
-    chain_enabled_ = enabled;
-    // Retire every patched link (the generation bump kills their stamps)
-    // and every memoized crossing.
-    block_cache_.Flush();
-    crossing_cache_.Flush();
-  }
+  // The monomorphic CALL/RETURN crossing cache (see DESIGN.md §7). It
+  // rides the fast path like the verdict and insn caches, and is what
+  // lets a CALL-terminated block chain straight into its callee; block
+  // chaining itself is always on inside the block engine.
   const CrossingCache& crossing_cache() const { return crossing_cache_; }
 
   // Test-only sabotage of the chaining engine, the chaining analog of
@@ -126,7 +116,7 @@ class Cpu {
   bool chain_ablation() const { return chain_ablation_; }
   void set_chain_ablation(bool enabled) { chain_ablation_ = enabled; }
 
-  // Fleet-shared read-only decode (see src/cpu/shared_decode.h). The
+  // Read-only pre-decoded image (see src/cpu/shared_decode.h). The
   // machine attaches the per-segno decoded tables after program load; the
   // slow fetch path consults them after reading the live word and falls
   // back to live decode on any mismatch (the CoW split). Host-only: the
@@ -150,8 +140,8 @@ class Cpu {
     decode_images_ = parent.decode_images_;
     decode_map_ = parent.decode_map_;
   }
-  // Host bytes of decoded tables this machine references (shared or
-  // private); bench_fleet reports the fleet-wide dedup from this.
+  // Host bytes of decoded tables this machine references (its own, or
+  // the golden's it was cloned from).
   size_t decode_image_bytes() const {
     size_t total = 0;
     for (const auto& image : decode_images_) {
@@ -382,12 +372,12 @@ class Cpu {
   // next cycle bound, and LDBR's flush kills every link stamp anyway.
   static bool ChainEligible(Opcode op);
   // Whether the CALL/RETURN crossing cache may fill and answer: ring
-  // hardware with checks on, riding the same host caches as chaining.
+  // hardware with checks on, riding the fast path and the SDW cache.
   bool CrossingCacheEnabled() const {
-    return chain_enabled_ && checks_enabled_ && fast_path_enabled_ && sdw_cache_.enabled() &&
+    return checks_enabled_ && fast_path_enabled_ && sdw_cache_.enabled() &&
            mode_ == ProtectionMode::kRingHardware;
   }
-  // The shared-decode entry covering (segno, wordno), if any.
+  // The decode-image entry covering (segno, wordno), if any.
   const SharedDecodeImage::Entry* DecodeImageEntry(Segno segno, Wordno wordno) const {
     if (segno >= decode_map_.size()) {
       return nullptr;
@@ -545,11 +535,10 @@ class Cpu {
   bool block_engine_enabled_ = true;
   bool block_call_ablation_ = false;
   BlockCache block_cache_;
-  bool chain_enabled_ = true;
   bool chain_ablation_ = false;
   CrossingCache crossing_cache_;
-  // Shared decode: refcounts pin the attached images; decode_map_ indexes
-  // their per-segment tables by segno.
+  // Decode images: refcounts keep the attached images alive;
+  // decode_map_ indexes their per-segment tables by segno.
   std::vector<std::shared_ptr<const SharedDecodeImage>> decode_images_;
   std::vector<const SharedDecodeImage::Segment*> decode_map_;
   FaultInjector* fault_injector_ = nullptr;

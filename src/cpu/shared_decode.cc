@@ -21,8 +21,7 @@ void SharedDecodeImage::Builder::AddSegment(const std::string& name,
   image_->segments_.push_back(std::move(seg));
 }
 
-std::shared_ptr<const SharedDecodeImage> SharedDecodeImage::Builder::Publish(uint64_t identity) {
-  image_->identity_ = identity;
+std::shared_ptr<const SharedDecodeImage> SharedDecodeImage::Builder::Publish() {
   return std::shared_ptr<const SharedDecodeImage>(std::move(image_));
 }
 
@@ -41,65 +40,6 @@ size_t SharedDecodeImage::bytes() const {
     total += sizeof(Segment) + seg.name.size() + seg.words.size() * sizeof(Entry);
   }
   return total;
-}
-
-SharedDecodeRegistry& SharedDecodeRegistry::Instance() {
-  static SharedDecodeRegistry* registry = new SharedDecodeRegistry();
-  return *registry;
-}
-
-std::shared_ptr<const SharedDecodeImage> SharedDecodeRegistry::Acquire(
-    uint64_t identity,
-    const std::function<std::shared_ptr<const SharedDecodeImage>()>& build, bool* built) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (auto it = images_.find(identity); it != images_.end()) {
-    if (auto live = it->second.lock()) {
-      if (built != nullptr) {
-        *built = false;
-      }
-      if (pin_count_ > 0) {
-        pinned_.push_back(live);
-      }
-      return live;
-    }
-  }
-  std::shared_ptr<const SharedDecodeImage> image = build();
-  images_[identity] = image;
-  if (built != nullptr) {
-    *built = true;
-  }
-  if (pin_count_ > 0) {
-    pinned_.push_back(image);
-  }
-  return image;
-}
-
-SharedDecodeRegistry::Pin::Pin() {
-  SharedDecodeRegistry& registry = Instance();
-  std::lock_guard<std::mutex> lock(registry.mu_);
-  ++registry.pin_count_;
-}
-
-SharedDecodeRegistry::Pin::~Pin() {
-  SharedDecodeRegistry& registry = Instance();
-  std::lock_guard<std::mutex> lock(registry.mu_);
-  if (--registry.pin_count_ == 0) {
-    registry.pinned_.clear();
-  }
-}
-
-size_t SharedDecodeRegistry::LiveImages() {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t live = 0;
-  for (auto it = images_.begin(); it != images_.end();) {
-    if (it->second.expired()) {
-      it = images_.erase(it);
-    } else {
-      ++live;
-      ++it;
-    }
-  }
-  return live;
 }
 
 }  // namespace rings

@@ -25,7 +25,7 @@ std::shared_ptr<const GoldenImage> GoldenImageRegistry::Acquire(
         *built = false;
       }
       if (pin_count_ > 0) {
-        pinned_.push_back(live);
+        pinned_.insert(live);
       }
       return live;
     }
@@ -40,7 +40,7 @@ std::shared_ptr<const GoldenImage> GoldenImageRegistry::Acquire(
     *built = true;
   }
   if (pin_count_ > 0) {
-    pinned_.push_back(image);
+    pinned_.insert(image);
   }
   return image;
 }

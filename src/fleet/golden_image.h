@@ -7,13 +7,13 @@
 // GoldenImage pays it once; Spawn() is then Machine::CloneFrom, which
 // costs O(registers + frame table) (see src/mem/physical_memory.h).
 //
-// The registry mirrors SharedDecodeRegistry (src/cpu/shared_decode.h):
-// keyed by program-image identity, weak references by default (a golden
-// image dies with its last user), with a Pin RAII scope that retains
-// every image handed out while any Pin is alive — the same lifetime fix
-// the decode registry needed, for the same reason (fleets retire members
-// one at a time, so per-machine lifetime alone would let the image expire
-// mid-run and force a re-boot per spawn).
+// The registry is keyed by program-image identity and holds weak
+// references by default (a golden image dies with its last user), with a
+// Pin RAII scope that retains every image handed out while any Pin is
+// alive: fleets retire members one at a time, so per-machine lifetime
+// alone would let the image expire mid-run and force a re-boot per spawn.
+// Each golden also carries its program's read-only decode image, which
+// every clone aliases (Cpu::CopyDecodeTablesFrom).
 #ifndef SRC_FLEET_GOLDEN_IMAGE_H_
 #define SRC_FLEET_GOLDEN_IMAGE_H_
 
@@ -22,7 +22,7 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
+#include <unordered_set>
 
 #include "src/sys/machine.h"
 
@@ -69,9 +69,9 @@ class GoldenImageRegistry {
   // Live (still-referenced) images; purges expired slots. For tests.
   size_t LiveImages();
 
-  // RAII retention scope, same contract as SharedDecodeRegistry::Pin:
-  // while any Pin is alive the registry keeps a strong reference to every
-  // image Acquire hands out; the last Pin's release drops them.
+  // RAII retention scope: while any Pin is alive the registry keeps one
+  // strong reference to every image Acquire hands out; the last Pin's
+  // release drops them.
   class Pin {
    public:
     Pin();
@@ -84,7 +84,7 @@ class GoldenImageRegistry {
   std::mutex mu_;
   std::unordered_map<uint64_t, std::weak_ptr<const GoldenImage>> images_;
   size_t pin_count_ = 0;
-  std::vector<std::shared_ptr<const GoldenImage>> pinned_;
+  std::unordered_set<std::shared_ptr<const GoldenImage>> pinned_;
 };
 
 }  // namespace rings

@@ -14,7 +14,7 @@ namespace {
 
 // All legs share one machine shape; only the engine switches differ.
 // 1M words is plenty for generated guests and keeps a leg's core store
-// cheap to construct eight times per trial.
+// cheap to construct several times per trial.
 MachineConfig BaseConfig() {
   MachineConfig config;
   config.memory_words = size_t{1} << 20;
@@ -151,24 +151,18 @@ CheckResult CheckGuest(const std::string& source, const FuzzOptions& options) {
     result.divergence.detail = std::move(detail);
   };
 
-  // --- standalone legs: fast path, superblock engine, chaining off -------
+  // --- standalone legs: fast path, superblock engine ---------------------
   struct EngineLeg {
     const char* name;
-    bool fast_path;
     bool block_engine;
-    bool chain;
   };
   static constexpr EngineLeg kLegs[] = {
-      {"fast", true, false, false},
-      {"block", true, true, true},
-      {"block-nochain", true, true, false},
+      {"fast", false},
+      {"block", true},
   };
   for (const EngineLeg& leg : kLegs) {
     MachineConfig config = BaseConfig();
-    config.fast_path = leg.fast_path;
     config.block_engine = leg.block_engine;
-    config.chain = leg.chain && options.chain;
-    config.shared_decode = options.shared_decode;
     config.block_call_ablation = options.ablate_block_call;
     config.chain_ablation = options.ablate_chain;
     auto machine = MakeGuestMachine(config, program, manifest, &error);
@@ -188,8 +182,6 @@ CheckResult CheckGuest(const std::string& source, const FuzzOptions& options) {
   // worker/steal interleavings of the quantum schedule).
   MachineConfig fleet_config = BaseConfig();
   fleet_config.block_call_ablation = options.ablate_block_call;
-  fleet_config.chain = options.chain;
-  fleet_config.shared_decode = options.shared_decode;
   fleet_config.chain_ablation = options.ablate_chain;
   if (options.check_fleet) {
     // One cold build, sealed as a golden image; every fleet leg then
@@ -240,8 +232,6 @@ CheckResult CheckGuest(const std::string& source, const FuzzOptions& options) {
   if (options.check_snapshot && result.reference.cycles >= 2) {
     MachineConfig config = BaseConfig();
     config.block_call_ablation = options.ablate_block_call;
-    config.chain = options.chain;
-    config.shared_decode = options.shared_decode;
     config.chain_ablation = options.ablate_chain;
     auto live = MakeGuestMachine(config, program, manifest, &error);
     if (live == nullptr) {

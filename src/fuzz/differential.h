@@ -42,11 +42,6 @@ struct FuzzOptions {
   // Same, for block-to-block chaining (MachineConfig::chain_ablation):
   // one spurious cycle per followed link on every chaining leg.
   bool ablate_chain = false;
-  // Host-side features under test on the optimized legs. Chaining also
-  // gets its own dedicated leg (block-nochain) so a chain bug shows up as
-  // a block-vs-nochain split even when both default knobs are on.
-  bool chain = true;
-  bool shared_decode = true;
 };
 
 // What one leg's finished run looks like to the comparator.

@@ -34,8 +34,6 @@ MachineConfig EngineConfig(const ServeConfig& serve) {
   MachineConfig config;
   config.fast_path = serve.fast_path;
   config.block_engine = serve.block_engine;
-  config.chain = serve.chain;
-  config.shared_decode = serve.shared_decode;
   return config;
 }
 
@@ -272,37 +270,35 @@ bool Server::Materialize(Task* task) {
     // Engine flags join the identity (as in ringsim's fleet wiring) so a
     // golden booted under one host configuration never serves another.
     const uint64_t identity = SourceIdentity(sub.source) ^
-                              ((config_.fast_path ? 1u : 0u) | (config_.block_engine ? 2u : 0u) |
-                               (config_.chain ? 4u : 0u) | (config_.shared_decode ? 8u : 0u));
+                              ((config_.fast_path ? 1u : 0u) | (config_.block_engine ? 2u : 0u));
     std::string build_error;
+    const auto build = [this, &sub, &build_error]() -> std::unique_ptr<Machine> {
+      const AssembleResult assembled = Assemble(sub.source);
+      if (!assembled.ok) {
+        build_error = assembled.error.ToString();
+        return nullptr;
+      }
+      const Manifest manifest = ParseManifest(sub.source);
+      if (!manifest.ok()) {
+        build_error = manifest.error;
+        return nullptr;
+      }
+      MachineConfig config = EngineConfig(config_);
+      config.memory_words = config_.machine_memory_words;
+      auto golden_machine = std::make_unique<Machine>(config);
+      if (!golden_machine->ok()) {
+        build_error = "machine construction failed";
+        return nullptr;
+      }
+      std::string error;
+      if (!InstantiateGuest(assembled.program, manifest, golden_machine.get(), &error)) {
+        build_error = std::move(error);
+        return nullptr;
+      }
+      return golden_machine;
+    };
     const std::shared_ptr<const GoldenImage> golden =
-        GoldenImageRegistry::Instance().Acquire(identity, [this, &sub, &build_error,
-                                                           identity]() -> std::unique_ptr<Machine> {
-          const AssembleResult assembled = Assemble(sub.source);
-          if (!assembled.ok) {
-            build_error = assembled.error.ToString();
-            return nullptr;
-          }
-          const Manifest manifest = ParseManifest(sub.source);
-          if (!manifest.ok()) {
-            build_error = manifest.error;
-            return nullptr;
-          }
-          MachineConfig config = EngineConfig(config_);
-          config.memory_words = config_.machine_memory_words;
-          auto golden_machine = std::make_unique<Machine>(config);
-          if (!golden_machine->ok()) {
-            build_error = "machine construction failed";
-            return nullptr;
-          }
-          std::string error;
-          if (!InstantiateGuest(assembled.program, manifest, golden_machine.get(), &error)) {
-            build_error = std::move(error);
-            return nullptr;
-          }
-          (void)identity;
-          return golden_machine;
-        });
+        GoldenImageRegistry::Instance().Acquire(identity, build);
     if (golden == nullptr) {
       Retire(task, ServeStatus::kFailed,
              build_error.empty() ? "golden image construction failed" : std::move(build_error));

@@ -30,7 +30,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/cpu/shared_decode.h"
 #include "src/fleet/golden_image.h"
 #include "src/sys/machine.h"
 
@@ -54,12 +53,10 @@ struct ServeConfig {
   // engine settings). Host-only — simulated results are bit-identical
   // across all settings — but folded into the golden-image identity so a
   // golden built under one engine configuration never serves another.
-  // bench_serve wires these to the RINGS_BLOCK_ENGINE / RINGS_CHAIN /
-  // RINGS_SHARED_DECODE CI ablation hooks.
+  // bench_serve wires block_engine to the RINGS_BLOCK_ENGINE CI ablation
+  // hook.
   bool fast_path = true;
   bool block_engine = true;
-  bool chain = true;
-  bool shared_decode = true;
 };
 
 // Per-tenant resource ceilings. Defaults are unlimited.
@@ -171,9 +168,8 @@ class Server {
   void ChargeTenant(const std::string& tenant, uint64_t cycles);
 
   ServeConfig config_;
-  // Keep golden images and shared decode alive for the server's lifetime:
-  // tenants come and go, the daemon persists.
-  SharedDecodeRegistry::Pin decode_pin_;
+  // Keep golden images (and through them their decode images) alive for
+  // the server's lifetime: tenants come and go, the daemon persists.
   GoldenImageRegistry::Pin golden_pin_;
 
   std::mutex mu_;  // tasks_, tenants_, next_id_, accepting_, queued_

@@ -57,8 +57,8 @@ struct SnapshotMeta {
 
 // The configuration of a machine to restore an image into: the image's
 // machine shape (memory size, cycle model, quantum, protection mode) over
-// `engine`'s host settings (fast path, block engine, chain, shared
-// decode, ...), which images do not carry.
+// `engine`'s host settings (fast path, block engine, ...), which images
+// do not carry.
 MachineConfig RestoreConfig(const SnapshotMeta& meta, MachineConfig engine);
 
 // Serializes `machine` (which must be at a Machine::Run boundary — the

@@ -23,7 +23,6 @@ Machine::Machine(MachineConfig config)
   cpu_.set_fast_path_enabled(config.fast_path);
   cpu_.set_block_engine_enabled(config.block_engine);
   cpu_.set_block_call_ablation(config.block_call_ablation);
-  cpu_.set_chain_enabled(config.chain);
   cpu_.set_chain_ablation(config.chain_ablation);
   cpu_.set_trace(&trace_);
   supervisor_.set_start_io([this](uint8_t device, Word detail) { StartIo(device, detail); });
@@ -44,7 +43,6 @@ Machine::Machine(const Machine& parent, CloneTag)
   cpu_.set_fast_path_enabled(config_.fast_path);
   cpu_.set_block_engine_enabled(config_.block_engine);
   cpu_.set_block_call_ablation(config_.block_call_ablation);
-  cpu_.set_chain_enabled(config_.chain);
   cpu_.set_chain_ablation(config_.chain_ablation);
   cpu_.set_trace(&trace_);
   supervisor_.set_start_io([this](uint8_t device, Word detail) { StartIo(device, detail); });
@@ -79,6 +77,8 @@ std::unique_ptr<Machine> Machine::CloneFrom(const Machine& golden) {
   dst.sdw_cache().RestoreStats(src.sdw_cache().hits(), src.sdw_cache().misses());
   dst.CopyDecodeTablesFrom(src);
   dst.counters() = src.counters();
+  // The clone shares the golden's decode image; it built none itself.
+  dst.counters().shared_decode_builds = 0;
 
   clone->registry_.RestoreState(golden.registry_.next_segno(),
                                 std::vector<RegisteredSegment>(golden.registry_.segments()));
@@ -125,15 +125,15 @@ bool Machine::LoadProgram(const Program& program,
   cpu_.FlushInsnCache();
   cpu_.FlushTlb();
   if (ok) {
-    AttachSharedDecode(program);
+    AttachDecodeImage(program);
   }
   return ok;
 }
 
-// Program-image identity for the shared-decode and golden-image
-// registries: FNV-1a over the segment names, gate counts, reserve sizes,
-// and assembled words. Two machines loading byte-identical programs hash
-// to the same image; any difference (even one word) yields a distinct one.
+// Program-image identity for the golden-image registry: FNV-1a over the
+// segment names, gate counts, reserve sizes, and assembled words. Two
+// machines loading byte-identical programs hash to the same image; any
+// difference (even one word) yields a distinct one.
 uint64_t ProgramIdentity(const Program& program) {
   uint64_t h = 1469598103934665603ull;
   const auto mix_byte = [&h](uint8_t b) {
@@ -160,35 +160,13 @@ uint64_t ProgramIdentity(const Program& program) {
   return h;
 }
 
-namespace {
-
-std::shared_ptr<const SharedDecodeImage> BuildDecodeImage(const Program& program,
-                                                          uint64_t identity) {
+void Machine::AttachDecodeImage(const Program& program) {
   SharedDecodeImage::Builder builder;
   for (const AssembledSegment& seg : program.segments) {
     builder.AddSegment(seg.name, seg.words);
   }
-  return builder.Publish(identity);
-}
-
-}  // namespace
-
-void Machine::AttachSharedDecode(const Program& program) {
-  const uint64_t identity = ProgramIdentity(program);
-  bool built = false;
-  std::shared_ptr<const SharedDecodeImage> image;
-  if (config_.shared_decode) {
-    image = SharedDecodeRegistry::Instance().Acquire(
-        identity, [&] { return BuildDecodeImage(program, identity); }, &built);
-  } else {
-    // Private image, never registered: the decode results are identical,
-    // only the cross-machine sharing is ablated.
-    image = BuildDecodeImage(program, identity);
-    built = true;
-  }
-  if (built) {
-    ++cpu_.counters().shared_decode_builds;
-  }
+  std::shared_ptr<const SharedDecodeImage> image = builder.Publish();
+  ++cpu_.counters().shared_decode_builds;
   std::vector<std::pair<Segno, const SharedDecodeImage::Segment*>> map;
   for (const AssembledSegment& seg : program.segments) {
     const RegisteredSegment* reg = registry_.Find(seg.name);

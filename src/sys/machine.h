@@ -34,25 +34,17 @@ struct MachineConfig {
   // off is useful for differential testing and host-cost ablation.
   bool fast_path = true;
   // Superblock execution engine: chains cached decodes into straight-line
-  // blocks executed one dispatch at a time (see DESIGN.md §7). Host-side
-  // only, like the fast path; bit-identical simulation either way.
+  // blocks executed one dispatch at a time, and links each completed
+  // block straight to its successor (see DESIGN.md §7). Host-side only,
+  // like the fast path; bit-identical simulation either way.
   bool block_engine = true;
   // Test-only: deliberately break the block engine (one spurious cycle
   // per CALL executed inside a block) so the differential fuzz oracle's
   // catch-and-shrink path can be exercised. See Cpu::block_call_ablation.
   bool block_call_ablation = false;
-  // Block-to-block chaining inside the superblock engine, plus the
-  // monomorphic CALL/RETURN crossing cache (see DESIGN.md §7). Host-side
-  // only, like the fast path; bit-identical simulation either way.
-  bool chain = true;
   // Test-only: deliberately break chaining (one spurious cycle per
   // followed link) for the fuzz oracle. See Cpu::chain_ablation.
   bool chain_ablation = false;
-  // Share one read-only pre-decoded image per distinct program across all
-  // machines in this process (fleet members running the same guest).
-  // Off = each machine builds a private image; decode results are
-  // identical either way, only the host sharing differs.
-  bool shared_decode = true;
   // Deterministic fault injection (see DESIGN.md, "Fault model &
   // recovery"). Disabled by default; zero overhead when disabled.
   FaultConfig fault{};
@@ -176,9 +168,10 @@ class Machine {
 
   void StartIo(uint8_t device, Word detail);
 
-  // Builds or acquires the program's shared decode image and maps its
-  // segments onto the segnos the registry just assigned.
-  void AttachSharedDecode(const Program& program);
+  // Builds the program's read-only decode image (shared later by every
+  // clone of this machine) and maps its segments onto the segnos the
+  // registry just assigned.
+  void AttachDecodeImage(const Program& program);
 
   // Runs the protection auditor once and accumulates findings.
   void RunAudit();
@@ -200,8 +193,8 @@ class Machine {
 // Program-image identity: FNV-1a over the segment names, gate counts,
 // reserve sizes, and assembled words. Two machines loading byte-identical
 // programs hash to the same identity; any difference (even one word)
-// yields a distinct one. Keys both the shared-decode registry and the
-// golden-image registry (src/fleet/golden_image.h).
+// yields a distinct one. Keys the golden-image registry
+// (src/fleet/golden_image.h).
 uint64_t ProgramIdentity(const Program& program);
 
 }  // namespace rings

@@ -1,8 +1,10 @@
 // Block-to-block chaining and the CALL/RETURN crossing cache: directed
 // coverage of every invalidation site. Each site test runs a chained
-// twin against an unchained twin through the same mid-run invalidation
-// and requires the full architectural face (cycles, registers, traps,
-// every non-host counter) to stay bit-identical — a patched successor
+// twin (block engine on; chaining is always on inside it) against an
+// unchained twin (block engine off, so the per-instruction fast path)
+// through the same mid-run invalidation and requires the full
+// architectural face (cycles, registers, traps, every non-host counter)
+// to stay bit-identical — a patched successor
 // link or crossing memo that survived the site would execute stale
 // decode or skip a revalidation and split the twins. The five sites:
 //
@@ -68,8 +70,8 @@ struct LoopRig {
   BareMachine m;
   Segno code = 0;
 
-  explicit LoopRig(bool chain) {
-    m.cpu().set_chain_enabled(chain);
+  explicit LoopRig(bool block_engine) {
+    m.cpu().set_block_engine_enabled(block_engine);
     code = m.AddCode(
         {MakeIns(Opcode::kAdai, 1), MakeIns(Opcode::kTra, 2), MakeIns(Opcode::kAdai, 2),
          MakeIns(Opcode::kTra, 0)},
@@ -77,8 +79,9 @@ struct LoopRig {
     m.SetIpr(4, code, 0);
   }
 
-  // Drives the superblock engine (the only executor that chains) until
-  // the simulated cycle bound or a trap.
+  // Drives the superblock engine (the only executor that chains; with it
+  // disabled StepBlock steps one instruction) until the simulated cycle
+  // bound or a trap.
   void RunTo(uint64_t bound) {
     while (m.cpu().cycles() < bound && !m.cpu().trap_pending()) {
       m.cpu().StepBlock(bound);
@@ -99,8 +102,8 @@ struct LoopRig {
 // rewrite-visibility assertions.
 template <typename Scenario>
 Word RunTwinScenario(Scenario&& scenario) {
-  LoopRig on(/*chain=*/true);
-  LoopRig off(/*chain=*/false);
+  LoopRig on(/*block_engine=*/true);
+  LoopRig off(/*block_engine=*/false);
   scenario(on);
   scenario(off);
   EXPECT_GT(on.m.cpu().counters().chain_follows, 0u);
@@ -118,7 +121,7 @@ TEST(ChainInvalidate, SdwCacheFlushDropsPatchedLinks) {
   });
   // The rewrite really changed guest arithmetic (the twin comparison
   // would pass vacuously if both twins kept executing stale decode).
-  LoopRig control(/*chain=*/true);
+  LoopRig control(/*block_engine=*/true);
   control.RunTo(300);
   control.m.cpu().FlushSdwCache();
   control.RunTo(600);
@@ -165,8 +168,8 @@ TEST(ChainInvalidate, InjectedDescriptorDropsKeepTwinsIdentical) {
   FaultInjector inject_on(config);
   FaultInjector inject_off(config);
 
-  LoopRig on(/*chain=*/true);
-  LoopRig off(/*chain=*/false);
+  LoopRig on(/*block_engine=*/true);
+  LoopRig off(/*block_engine=*/false);
   on.m.cpu().set_fault_injector(&inject_on);
   off.m.cpu().set_fault_injector(&inject_off);
   on.RunTo(4000);
@@ -196,9 +199,9 @@ TEST(ChainInvalidate, InjectedDescriptorDropsKeepTwinsIdentical) {
 //   w7: mme             backstop: stale-nop execution falls through here
 //                       one instruction later and diverges the twins
 TEST(ChainInvalidate, GuestStoreIntoCodeDropsPatchedLinks) {
-  const auto run = [](bool chain, BareMachine* out_machine) -> Cpu* {
+  const auto run = [](bool block_engine, BareMachine* out_machine) -> Cpu* {
     auto& m = *out_machine;
-    m.cpu().set_chain_enabled(chain);
+    m.cpu().set_block_engine_enabled(block_engine);
     const Segno data = m.AddSegment({0, 40}, UserData());  // cnt, limit
     SegmentAccess writable_code = MakeProcedureSegment(4, 4);
     writable_code.flags.write = true;
@@ -220,8 +223,8 @@ TEST(ChainInvalidate, GuestStoreIntoCodeDropsPatchedLinks) {
 
   BareMachine machine_on;
   BareMachine machine_off;
-  Cpu* on = run(/*chain=*/true, &machine_on);
-  Cpu* off = run(/*chain=*/false, &machine_off);
+  Cpu* on = run(/*block_engine=*/true, &machine_on);
+  Cpu* off = run(/*block_engine=*/false, &machine_off);
 
   ASSERT_TRUE(on->trap_pending());
   ASSERT_TRUE(off->trap_pending());

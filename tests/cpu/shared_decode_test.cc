@@ -1,8 +1,8 @@
-// Fleet-shared read-only decode (src/cpu/shared_decode.h): machines
-// loading the identical program share one pre-decoded image through the
-// process-wide registry, and a machine that modifies its own code
-// diverges from the image word-by-word (the copy-on-write split) without
-// its siblings ever seeing the change.
+// Read-only pre-decoded program image (src/cpu/shared_decode.h): a
+// golden machine builds one image at load, its copy-on-write clones share
+// it, and a clone that modifies its own code diverges from the image
+// word-by-word (the copy-on-write split) without its siblings ever seeing
+// the change.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -38,10 +38,9 @@ dst:    .its  4, main, 2
         .word 0
 )";
 
-std::unique_ptr<Machine> MakeSelfPatchMachine(bool shared_decode) {
+std::unique_ptr<Machine> MakeSelfPatchGolden() {
   MachineConfig config;
   config.memory_words = size_t{1} << 18;
-  config.shared_decode = shared_decode;
   auto machine = std::make_unique<Machine>(config);
   SegmentAccess writable_code = MakeProcedureSegment(4, 4);
   writable_code.flags.write = true;  // the guest stores into its own code
@@ -53,58 +52,57 @@ std::unique_ptr<Machine> MakeSelfPatchMachine(bool shared_decode) {
     ADD_FAILURE() << "load failed: " << error;
     return nullptr;
   }
+  Process* process = machine->Login("test");
+  machine->supervisor().InitiateAll(process);
+  if (!machine->Start(process, "main", "start", kUserRing)) {
+    ADD_FAILURE() << "start failed";
+    return nullptr;
+  }
+  machine->memory().SealForCloning();
   return machine;
 }
 
 int64_t RunToExit(Machine* machine) {
-  Process* process = machine->Login("test");
-  machine->supervisor().InitiateAll(process);
-  machine->Start(process, "main", "start", kUserRing);
   machine->Run(10'000'000);
-  EXPECT_EQ(process->state, ProcessState::kExited);
-  return process->exit_code;
+  const auto& processes = machine->supervisor().processes();
+  EXPECT_EQ(processes.size(), 1u);
+  if (processes.empty()) {
+    return -1;
+  }
+  EXPECT_EQ(processes[0]->state, ProcessState::kExited);
+  return processes[0]->exit_code;
 }
 
 TEST(SharedDecode, SiblingsShareOneImageAndBuildOnce) {
-  const size_t live_before = SharedDecodeRegistry::Instance().LiveImages();
-  auto a = MakeSelfPatchMachine(/*shared_decode=*/true);
-  auto b = MakeSelfPatchMachine(/*shared_decode=*/true);
+  const std::unique_ptr<Machine> golden = MakeSelfPatchGolden();
+  ASSERT_NE(golden, nullptr);
+  auto a = Machine::CloneFrom(*golden);
+  auto b = Machine::CloneFrom(*golden);
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
   EXPECT_TRUE(a->cpu().has_decode_image());
   EXPECT_TRUE(b->cpu().has_decode_image());
-  // One build between the two siblings; the identical program identity
-  // resolves to one registry image.
-  EXPECT_EQ(a->cpu().counters().shared_decode_builds +
-                b->cpu().counters().shared_decode_builds,
-            1u);
-  EXPECT_EQ(SharedDecodeRegistry::Instance().LiveImages(), live_before + 1);
-  EXPECT_GT(a->cpu().decode_image_bytes(), 0u);
-  EXPECT_EQ(a->cpu().decode_image_bytes(), b->cpu().decode_image_bytes());
+  // The golden decoded its program once at load; the clones alias that
+  // image rather than building their own.
+  EXPECT_EQ(golden->cpu().counters().shared_decode_builds, 1u);
+  EXPECT_EQ(a->cpu().counters().shared_decode_builds, 0u);
+  EXPECT_EQ(b->cpu().counters().shared_decode_builds, 0u);
+  EXPECT_GT(golden->cpu().decode_image_bytes(), 0u);
+  EXPECT_EQ(a->cpu().decode_image_bytes(), golden->cpu().decode_image_bytes());
+  EXPECT_EQ(b->cpu().decode_image_bytes(), golden->cpu().decode_image_bytes());
 
-  // The image is refcounted: it outlives either single machine and
-  // expires with the last.
-  a.reset();
-  EXPECT_EQ(SharedDecodeRegistry::Instance().LiveImages(), live_before + 1);
-  b.reset();
-  EXPECT_EQ(SharedDecodeRegistry::Instance().LiveImages(), live_before);
-}
-
-TEST(SharedDecode, PrivateImagesWhenSharingIsDisabled) {
-  const size_t live_before = SharedDecodeRegistry::Instance().LiveImages();
-  auto a = MakeSelfPatchMachine(/*shared_decode=*/false);
-  auto b = MakeSelfPatchMachine(/*shared_decode=*/false);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  // Every machine decodes for itself and nothing is published.
-  EXPECT_EQ(a->cpu().counters().shared_decode_builds, 1u);
-  EXPECT_EQ(b->cpu().counters().shared_decode_builds, 1u);
-  EXPECT_EQ(SharedDecodeRegistry::Instance().LiveImages(), live_before);
+  // Running a clone decodes from the shared image.
+  ASSERT_TRUE(a->PokeSegment("patch", 0, EncodeInstruction(MakeIns(Opcode::kLdai, 7))));
+  EXPECT_EQ(RunToExit(a.get()), 7);
+  EXPECT_GT(a->cpu().counters().shared_decode_hits, 0u);
+  EXPECT_EQ(a->cpu().counters().shared_decode_builds, 0u);
 }
 
 TEST(SharedDecode, SelfModifyingSiblingDivergesWithoutTouchingTheImage) {
-  auto a = MakeSelfPatchMachine(/*shared_decode=*/true);
-  auto b = MakeSelfPatchMachine(/*shared_decode=*/true);
+  const std::unique_ptr<Machine> golden = MakeSelfPatchGolden();
+  ASSERT_NE(golden, nullptr);
+  auto a = Machine::CloneFrom(*golden);
+  auto b = Machine::CloneFrom(*golden);
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
 

@@ -8,7 +8,6 @@
 
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/fleet/fingerprint.h"
@@ -169,15 +168,6 @@ void ExpectCountersIdentical(const Counters& a, const Counters& b, bool include_
       [&a, &b, include_host_only](const char* name, uint64_t Counters::* member,
                                   bool host_only) {
         if (host_only && !include_host_only) {
-          return;
-        }
-        // Shared-decode build attribution is first-acquirer-wins in the
-        // process-wide registry: which of two machines running the same
-        // program pays the build depends on worker scheduling. The fleet
-        // AGGREGATE build count is deterministic (one per distinct live
-        // program); the per-machine split is the one host counter that
-        // is not, so it is the one exclusion here.
-        if (std::string_view(name) == "shared_decode_builds") {
           return;
         }
         EXPECT_EQ(a.*member, b.*member) << "counter " << name;

@@ -132,13 +132,12 @@ struct EngineCase {
   const char* name;
   bool fast_path;
   bool block_engine;
-  bool chain;
 };
 
 constexpr EngineCase kEngines[] = {
-    {"slow", false, false, false},
-    {"fast", true, false, false},
-    {"block", true, true, true},
+    {"slow", false, false},
+    {"fast", true, false},
+    {"block", true, true},
 };
 
 TEST(GoldenImage, CloneMatchesFreshBootAcrossEngines) {
@@ -147,7 +146,6 @@ TEST(GoldenImage, CloneMatchesFreshBootAcrossEngines) {
     MachineConfig config;
     config.fast_path = engine.fast_path;
     config.block_engine = engine.block_engine;
-    config.chain = engine.chain;
     const std::unique_ptr<Machine> golden = MakeCallLoopMachine(config);
     ASSERT_NE(golden, nullptr);
     golden->memory().SealForCloning();
@@ -274,6 +272,24 @@ TEST(GoldenImageRegistry, PinKeepsImageAliveAcrossRetirement) {
       identity, [] { return MakeCallLoopMachine(MachineConfig{}); }, &rebuilt);
   ASSERT_NE(after, nullptr);
   EXPECT_TRUE(rebuilt);
+}
+
+TEST(GoldenImageRegistry, PinHoldsEachImageOnce) {
+  // A long-lived Pin (the serving daemon holds one for its whole life)
+  // must retain one reference per image, not one per Acquire hit.
+  GoldenImageRegistry& registry = GoldenImageRegistry::Instance();
+  const uint64_t identity = 0x0DD5EED0DD5EED00ull;
+  const GoldenImageRegistry::Pin pin;
+  const std::shared_ptr<const GoldenImage> image =
+      registry.Acquire(identity, [] { return MakeCallLoopMachine(MachineConfig{}); });
+  ASSERT_NE(image, nullptr);
+  const long held = image.use_count();
+  for (int i = 0; i < 100; ++i) {
+    const std::shared_ptr<const GoldenImage> hit =
+        registry.Acquire(identity, [] { return std::unique_ptr<Machine>(); });
+    ASSERT_EQ(hit, image);
+  }
+  EXPECT_EQ(image.use_count(), held);
 }
 
 // --- fleet spawning ---------------------------------------------------------

@@ -71,8 +71,9 @@ TEST(FuzzDifferentialTest, SabotagedChainingIsCaughtOnTheBlockLeg) {
   ASSERT_TRUE(result.ok) << result.error;
   ASSERT_TRUE(result.divergence.found);
   // The ablation charges a spurious cycle per followed successor link, so
-  // it can only surface on the leg that chains: `block`. The fast leg has
-  // no block engine and the block-nochain leg never follows a link.
+  // it can only surface on the first leg that chains: `block`. The fast
+  // leg has no block engine; the slow reference leg is the oracle that
+  // the chaining leg disagrees with.
   EXPECT_EQ(result.divergence.leg, "block");
   EXPECT_NE(result.divergence.detail.find("cycles"), std::string::npos)
       << result.divergence.detail;

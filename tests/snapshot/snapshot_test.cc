@@ -599,8 +599,6 @@ TEST(SnapshotImage, RestoreConfigTakesShapeFromImageAndEngineFromCaller) {
   engine.quantum = 1;
   engine.fast_path = false;
   engine.block_engine = false;
-  engine.chain = false;
-  engine.shared_decode = false;
   const MachineConfig config = RestoreConfig(meta, engine);
   EXPECT_EQ(config.memory_words, size_t{1} << 20);
   EXPECT_EQ(config.mode, ProtectionMode::kFlags645);
@@ -609,8 +607,6 @@ TEST(SnapshotImage, RestoreConfigTakesShapeFromImageAndEngineFromCaller) {
   EXPECT_EQ(config.cycle_model.instruction_base, CycleModel{}.instruction_base);
   EXPECT_FALSE(config.fast_path);
   EXPECT_FALSE(config.block_engine);
-  EXPECT_FALSE(config.chain);
-  EXPECT_FALSE(config.shared_decode);
 
   // An image restores into its RestoreConfig machine under any engine.
   const std::vector<uint8_t> image = MakeValidImage(MachineConfig{});

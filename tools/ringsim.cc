@@ -15,11 +15,6 @@
 //                    caches (simulated cycles are identical either way)
 //   --no-block-engine disable the superblock execution engine while
 //                    keeping the caches (same guarantee: host-only)
-//   --no-chain       disable block-to-block chaining and the monomorphic
-//                    CALL/RETURN crossing cache (host-only; simulated
-//                    cycles identical either way)
-//   --no-shared-decode  each machine builds a private decode image
-//                    instead of sharing one per distinct program
 //   --stats          print the processor's event counters after the run
 //   --fleet=N        run N independent machines, each loaded with the
 //                    same program, across a worker-thread pool; prints a
@@ -179,8 +174,8 @@ int ReportRun(const Machine& machine, const RunResult& result, bool trace, bool 
 }
 
 int Run(const std::string& path, bool list, bool trace, bool audit, bool fast_path,
-        bool block_engine, bool chain, bool shared_decode, bool stats, uint64_t max_cycles,
-        const FaultConfig& fault, const std::string& snapshot_out) {
+        bool block_engine, bool stats, uint64_t max_cycles, const FaultConfig& fault,
+        const std::string& snapshot_out) {
   const LoadedSource loaded = LoadSource(path);
   if (!loaded.ok) {
     return 2;
@@ -200,8 +195,6 @@ int Run(const std::string& path, bool list, bool trace, bool audit, bool fast_pa
   config.fault = fault;
   config.fast_path = fast_path;
   config.block_engine = block_engine;
-  config.chain = chain;
-  config.shared_decode = shared_decode;
   Machine machine(config);
   if (!machine.ok()) {
     std::fprintf(stderr, "ringsim: machine construction failed\n");
@@ -242,8 +235,7 @@ int Run(const std::string& path, bool list, bool trace, bool audit, bool fast_pa
 // quantum) comes from the image's meta section; a corrupted, truncated,
 // or incompatible image is rejected with a structured error and exit 2.
 int RunRestore(const std::string& restore_path, const std::string& snapshot_out, bool trace,
-               bool fast_path, bool block_engine, bool chain, bool shared_decode, bool stats,
-               uint64_t max_cycles) {
+               bool fast_path, bool block_engine, bool stats, uint64_t max_cycles) {
   std::vector<uint8_t> image;
   std::string error;
   if (!ReadSnapshotFile(restore_path, &image, &error)) {
@@ -258,8 +250,6 @@ int RunRestore(const std::string& restore_path, const std::string& snapshot_out,
   MachineConfig engine;
   engine.fast_path = fast_path;
   engine.block_engine = block_engine;
-  engine.chain = chain;
-  engine.shared_decode = shared_decode;
   Machine machine(RestoreConfig(meta, engine));
   if (!machine.ok()) {
     std::fprintf(stderr, "ringsim: machine construction failed\n");
@@ -289,8 +279,8 @@ int RunRestore(const std::string& restore_path, const std::string& snapshot_out,
 // throughput and per-thread utilization in the summary vary.
 int RunFleet(const std::string& path, uint64_t fleet_size, int threads, uint64_t slice_cycles,
              uint64_t checkpoint_every, int max_restarts, bool cold_boot, bool fast_path,
-             bool block_engine, bool chain, bool shared_decode, bool stats, uint64_t max_cycles,
-             uint64_t fault_seed, uint32_t fault_rate) {
+             bool block_engine, bool stats, uint64_t max_cycles, uint64_t fault_seed,
+             uint32_t fault_rate) {
   const LoadedSource loaded = LoadSource(path);
   if (!loaded.ok) {
     return 2;
@@ -305,16 +295,12 @@ int RunFleet(const std::string& path, uint64_t fleet_size, int threads, uint64_t
     // Host engine flags are part of the identity: a golden built with
     // the block engine off must not serve a run that wants it on.
     const uint64_t identity = ProgramIdentity(loaded.assembled.program) ^
-                              ((fast_path ? 1u : 0u) | (block_engine ? 2u : 0u) |
-                               (chain ? 4u : 0u) | (shared_decode ? 8u : 0u));
+                              ((fast_path ? 1u : 0u) | (block_engine ? 2u : 0u));
     golden = GoldenImageRegistry::Instance().Acquire(
-        identity, [&loaded, fast_path, block_engine, chain,
-                   shared_decode]() -> std::unique_ptr<Machine> {
+        identity, [&loaded, fast_path, block_engine]() -> std::unique_ptr<Machine> {
           MachineConfig config;
           config.fast_path = fast_path;
           config.block_engine = block_engine;
-          config.chain = chain;
-          config.shared_decode = shared_decode;
           auto machine = std::make_unique<Machine>(config);
           std::string error;
           if (!machine->ok() ||
@@ -341,16 +327,14 @@ int RunFleet(const std::string& path, uint64_t fleet_size, int threads, uint64_t
   for (uint64_t i = 0; i < fleet_size; ++i) {
     // The factory runs on a worker thread; `loaded` and `golden` outlive
     // fleet.Run(), which blocks until every machine retires.
-    const auto factory = [&loaded, &golden, fast_path, block_engine, chain, shared_decode,
-                          fault_seed, fault_rate, i]() -> std::unique_ptr<Machine> {
+    const auto factory = [&loaded, &golden, fast_path, block_engine, fault_seed, fault_rate,
+                          i]() -> std::unique_ptr<Machine> {
       if (golden != nullptr) {
         return golden->Spawn();
       }
       MachineConfig config;
       config.fast_path = fast_path;
       config.block_engine = block_engine;
-      config.chain = chain;
-      config.shared_decode = shared_decode;
       if (fault_rate > 0) {
         // Derived seed: every machine gets its own reproducible stream.
         config.fault = FaultConfig::Uniform(fault_seed + i, fault_rate);
@@ -390,12 +374,10 @@ int RunFleet(const std::string& path, uint64_t fleet_size, int threads, uint64_t
 // Exit codes: 0 all trials agree, 1 divergence found, 2 harness error
 // (a generated guest failed to assemble/instantiate — a generator bug).
 int RunFuzz(uint64_t trials, uint64_t first_seed, bool shrink, std::string repro_out,
-            bool ablation, bool chain_ablation, bool chain, bool shared_decode) {
+            bool ablation, bool chain_ablation) {
   FuzzOptions options;
   options.ablate_block_call = ablation;
   options.ablate_chain = chain_ablation;
-  options.chain = chain;
-  options.shared_decode = shared_decode;
   for (uint64_t i = 0; i < trials; ++i) {
     const uint64_t seed = first_seed + i;
     const GeneratedGuest guest = GenerateGuest(seed);
@@ -464,8 +446,6 @@ int main(int argc, char** argv) {
   bool audit = false;
   bool fast_path = true;
   bool block_engine = true;
-  bool chain = true;
-  bool shared_decode = true;
   bool stats = false;
   uint64_t max_cycles = 100'000'000;
   uint64_t fault_seed = 1;
@@ -491,18 +471,15 @@ int main(int argc, char** argv) {
   std::string restore_path;
   constexpr char kUsage[] =
       "usage: ringsim [--list] [--trace] [--audit] [--stats] [--no-fastpath]\n"
-      "               [--no-block-engine] [--no-chain] [--no-shared-decode]\n"
-      "               [--max-cycles=N] [--fault-rate=PPM]\n"
+      "               [--no-block-engine] [--max-cycles=N] [--fault-rate=PPM]\n"
       "               [--fault-seed=N] [--snapshot-out=FILE]\n"
       "               [--fleet=N [--threads=T] [--slice-cycles=N]\n"
       "                [--checkpoint-every=N] [--max-restarts=R] [--cold-boot]]\n"
       "               program.asm\n"
       "       ringsim --restore=FILE [--trace] [--stats] [--max-cycles=N]\n"
-      "               [--no-fastpath] [--no-block-engine] [--no-chain]\n"
-      "               [--no-shared-decode] [--snapshot-out=FILE]\n"
+      "               [--no-fastpath] [--no-block-engine] [--snapshot-out=FILE]\n"
       "       ringsim --fuzz=N [--fuzz-seed=S] [--shrink] [--fuzz-repro-out=FILE]\n"
-      "               [--fuzz-ablation] [--fuzz-chain-ablation] [--no-chain]\n"
-      "               [--no-shared-decode]\n";
+      "               [--fuzz-ablation] [--fuzz-chain-ablation]\n";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--list") {
@@ -515,10 +492,6 @@ int main(int argc, char** argv) {
       fast_path = false;
     } else if (arg == "--no-block-engine") {
       block_engine = false;
-    } else if (arg == "--no-chain") {
-      chain = false;
-    } else if (arg == "--no-shared-decode") {
-      shared_decode = false;
     } else if (arg == "--stats") {
       stats = true;
     } else if (arg.rfind("--max-cycles=", 0) == 0) {
@@ -652,7 +625,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     return rings::RunFuzz(fuzz_trials, fuzz_seed, fuzz_shrink, fuzz_repro_out, fuzz_ablation,
-                          fuzz_chain_ablation, chain, shared_decode);
+                          fuzz_chain_ablation);
   }
   if (!restore_path.empty()) {
     if (!path.empty()) {
@@ -664,8 +637,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "ringsim: --restore cannot be combined with --fleet\n");
       return 2;
     }
-    return rings::RunRestore(restore_path, snapshot_out, trace, fast_path, block_engine, chain,
-                             shared_decode, stats, max_cycles);
+    return rings::RunRestore(restore_path, snapshot_out, trace, fast_path, block_engine, stats,
+                             max_cycles);
   }
   if (path.empty()) {
     std::fprintf(stderr, "%s", kUsage);
@@ -678,10 +651,9 @@ int main(int argc, char** argv) {
     }
     return rings::RunFleet(path, fleet_size, static_cast<int>(threads), slice_cycles,
                            checkpoint_every, static_cast<int>(max_restarts), cold_boot,
-                           fast_path, block_engine, chain, shared_decode, stats, max_cycles,
-                           fault_seed, fault_rate);
+                           fast_path, block_engine, stats, max_cycles, fault_seed, fault_rate);
   }
   const rings::FaultConfig fault = rings::FaultConfig::Uniform(fault_seed, fault_rate);
-  return rings::Run(path, list, trace, audit, fast_path, block_engine, chain, shared_decode,
-                    stats, max_cycles, fault, snapshot_out);
+  return rings::Run(path, list, trace, audit, fast_path, block_engine, stats, max_cycles, fault,
+                    snapshot_out);
 }
