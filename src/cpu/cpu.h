@@ -270,24 +270,27 @@ class Cpu {
   int64_t timer() const { return timer_; }
   bool timer_enabled() const { return timer_enabled_; }
 
-  // --- snapshot support (src/snapshot) ----------------------------------
-  // Exact state restore, used only by the snapshot reader after it has
-  // flushed every derived cache. Unlike Rett/SetDbr/SetTimer these charge
-  // nothing and flush nothing: the image already carries the exact cycle
-  // count, counters, and descriptor-cache contents to reinstate.
-  void RestoreExecutionState(const RegisterFile& regs, const Tpr& tpr, uint64_t cycles) {
-    regs_ = regs;
-    tpr_ = tpr;
-    cycles_ = cycles;
-  }
-  void RestoreTrapState(bool pending, const TrapState& state) {
-    trap_pending_ = pending;
-    trap_state_ = state;
-  }
-  void RestoreTimer(bool enabled, int64_t value) {
-    timer_enabled_ = enabled;
-    timer_ = value;
-  }
+  // The processor's exact architectural state: what a snapshot or a
+  // clone carries (see src/sys/machine_state.h). Host-side caches are not
+  // part of it.
+  struct State {
+    uint64_t cycles = 0;
+    RegisterFile regs;
+    Tpr tpr{};
+    bool checks_enabled = true;
+    bool timer_enabled = false;
+    int64_t timer = 0;
+    bool trap_pending = false;
+    TrapState trap_state{};
+    Counters counters;
+    SdwCache::State sdw_cache;
+  };
+  State CaptureState() const;
+  // Installs `state` exactly. Unlike Rett/SetDbr/SetTimer this charges
+  // nothing: every derived host cache is flushed first and the counters
+  // are set last, so the flushes' host-only counter bumps are overwritten
+  // by the state's exact values.
+  void ApplyState(const State& state);
 
   // Privileged SIO instructions are routed here (device = reg field,
   // operand = the IOCB word read from memory).

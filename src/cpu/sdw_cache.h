@@ -85,36 +85,36 @@ class SdwCache {
   // invalidates them in O(1).
   uint64_t flush_epoch() const { return flush_epoch_; }
 
-  // --- snapshot support (src/snapshot) -----------------------------------
-  // The descriptor cache is timing-architectural: the cycle model charges
-  // a descriptor fetch only on a miss and hits/misses feed architectural
-  // counters, so a restored machine must resume with the exact entries
-  // and statistics the live one had (unlike the host-only verdict, insn,
-  // TLB and block caches, which are dropped and rebuilt).
-  struct SnapshotEntry {
-    bool valid = false;
-    Segno segno = 0;
-    Sdw sdw;
-  };
-  SnapshotEntry SnapshotAt(size_t index) const {
-    const Entry& e = entries_[index % kEntries];
-    return SnapshotEntry{e.valid, e.segno, e.sdw};
-  }
-  void RestoreEntry(size_t index, bool valid, Segno segno, const Sdw& sdw) {
-    entries_[index % kEntries] = Entry{valid, segno, sdw};
-  }
-  void RestoreStats(uint64_t hits, uint64_t misses) {
-    hits_ = hits;
-    misses_ = misses;
-  }
-
- private:
   struct Entry {
     bool valid = false;
     Segno segno = 0;
     Sdw sdw;
   };
 
+  // The cache's exact contents and statistics. The descriptor cache is
+  // timing-architectural: the cycle model charges a descriptor fetch only
+  // on a miss and hits/misses feed architectural counters, so a restored
+  // or cloned machine resumes with the exact entries and statistics the
+  // original had (unlike the host-only verdict, insn, TLB and block
+  // caches, which are dropped and rebuilt).
+  struct State {
+    bool enabled = true;
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    std::array<Entry, kEntries> entries{};
+  };
+  State CaptureState() const { return State{enabled_, hits_, misses_, entries_}; }
+  // Flushes first (the epoch bump retires every derived verdict), then
+  // installs `state`.
+  void ApplyState(const State& state) {
+    Flush();
+    enabled_ = state.enabled;
+    hits_ = state.hits;
+    misses_ = state.misses;
+    entries_ = state.entries;
+  }
+
+ private:
   bool enabled_ = true;
   mutable uint64_t hits_ = 0;
   mutable uint64_t misses_ = 0;

@@ -137,22 +137,35 @@ class FaultInjector {
   uint64_t total_injected() const;
   std::string Summary() const;
 
-  // --- snapshot support (src/snapshot) -----------------------------------
-  // The injector's stream is machine state: a restored machine must draw
-  // the exact fault sequence the live one would have drawn.
   const Xorshift& rng() const { return rng_; }
   const Xorshift& snapshot_rng() const { return snapshot_rng_; }
   uint64_t sequence() const { return sequence_; }
   const std::array<uint64_t, kNumFaultSites>& counts() const { return counts_; }
-  void RestoreStream(uint64_t rng_state0, uint64_t rng_state1, uint64_t snapshot_state0,
-                     uint64_t snapshot_state1,
-                     const std::array<uint64_t, kNumFaultSites>& counts, uint64_t sequence,
-                     std::vector<FaultEvent> events) {
-    rng_.set_state(rng_state0, rng_state1);
-    snapshot_rng_.set_state(snapshot_state0, snapshot_state1);
-    counts_ = counts;
-    sequence_ = sequence;
-    events_ = std::move(events);
+
+  // The injector's stream is machine state: a restored or cloned machine
+  // must draw the exact fault sequence the original would have drawn.
+  struct State {
+    FaultConfig config;
+    std::array<uint64_t, 2> rng{};
+    std::array<uint64_t, 2> snapshot_rng{};
+    std::array<uint64_t, kNumFaultSites> counts{};
+    uint64_t sequence = 0;
+    std::vector<FaultEvent> events;
+  };
+  State CaptureState() const {
+    State state{config_, {}, {}, counts_, sequence_, events_};
+    state.rng = {rng_.state(0), rng_.state(1)};
+    state.snapshot_rng = {snapshot_rng_.state(0), snapshot_rng_.state(1)};
+    return state;
+  }
+  // Continues the stream `state` describes; the configuration is the
+  // one this injector was built with (construct it from state.config).
+  void ApplyState(State state) {
+    rng_.set_state(state.rng[0], state.rng[1]);
+    snapshot_rng_.set_state(state.snapshot_rng[0], state.snapshot_rng[1]);
+    counts_ = state.counts;
+    sequence_ = state.sequence;
+    events_ = std::move(state.events);
   }
 
   // Fleet self-healing: a machine restarted from a checkpoint would

@@ -1,31 +1,28 @@
 #include "src/fleet/fingerprint.h"
 
+#include <algorithm>
+
 #include "src/base/strings.h"
 
 namespace rings {
 
 namespace {
 
-void MixPointerRegister(FingerprintBuilder* fp, const PointerRegister& pr) {
-  fp->Mix(static_cast<uint64_t>(pr.ring));
-  fp->Mix(static_cast<uint64_t>(pr.segno));
-  fp->Mix(static_cast<uint64_t>(pr.wordno));
-}
+// The state visitor's Io for the register file (src/sys/machine_state.h):
+// every field folds in widened to 64 bits, in image field order.
+struct RegisterMixer {
+  FingerprintBuilder* fp;
 
-void MixRegisters(FingerprintBuilder* fp, const RegisterFile& regs) {
-  fp->Mix(regs.a);
-  fp->Mix(regs.q);
-  for (const uint32_t x : regs.x) {
-    fp->Mix(static_cast<uint64_t>(x));
+  template <class T>
+  void U32(const T& v) {
+    fp->Mix(static_cast<uint64_t>(v));
   }
-  for (const PointerRegister& pr : regs.pr) {
-    MixPointerRegister(fp, pr);
+  template <class T>
+  void U64(const T& v) {
+    fp->Mix(static_cast<uint64_t>(v));
   }
-  MixPointerRegister(fp, regs.ipr);
-  fp->Mix(static_cast<uint64_t>(regs.dbr.base));
-  fp->Mix(static_cast<uint64_t>(regs.dbr.bound));
-  fp->Mix(static_cast<uint64_t>(regs.dbr.stack_base));
-}
+  void RingNo(Ring ring, const char*) { fp->Mix(static_cast<uint64_t>(ring)); }
+};
 
 void MixCounters(FingerprintBuilder* fp, const Counters& counters) {
   Counters::ForEachField(
@@ -57,6 +54,21 @@ std::string ProcessStatusLine(const Process& process) {
   }
 }
 
+ExitStatus MachineExitStatus(const Machine& machine) {
+  ExitStatus status;
+  for (const auto& process : machine.supervisor().processes()) {
+    if (process->state == ProcessState::kExited) {
+      status.code = std::max(status.code, static_cast<int>(process->exit_code & 0xFF));
+    } else {
+      status.code = 111;
+      if (status.failure.empty()) {
+        status.failure = ProcessStatusLine(*process);
+      }
+    }
+  }
+  return status;
+}
+
 uint64_t FingerprintCounters(const Counters& counters) {
   FingerprintBuilder fp;
   MixCounters(&fp, counters);
@@ -66,7 +78,9 @@ uint64_t FingerprintCounters(const Counters& counters) {
 uint64_t FingerprintMachine(const Machine& machine) {
   FingerprintBuilder fp;
   fp.Mix(machine.cpu().cycles());
-  MixRegisters(&fp, machine.cpu().regs());
+  RegisterFile regs = machine.cpu().regs();
+  RegisterMixer mixer{&fp};
+  Visit(mixer, regs);
   MixCounters(&fp, machine.cpu().counters());
   if (machine.trace().enabled()) {
     for (const TraceEvent& e : machine.trace().events()) {

@@ -59,6 +59,17 @@ uint64_t FingerprintCounters(const Counters& counters);
 // text shared by the fingerprint, fleet results, and ringsim output.
 std::string ProcessStatusLine(const Process& process);
 
+// How a finished machine ends as a process exit status: the largest
+// exit code (low byte) of its exited processes, or 111 when any process
+// did not exit, with the first such process's status line as the failure
+// (empty when every process exited). Shared by the fleet, the server and
+// ringsim.
+struct ExitStatus {
+  int code = 0;
+  std::string failure;
+};
+ExitStatus MachineExitStatus(const Machine& machine);
+
 }  // namespace rings
 
 #endif  // SRC_FLEET_FINGERPRINT_H_

@@ -103,22 +103,19 @@ void Fleet::Retire(size_t index, MachineOutcome outcome, std::string host_failur
     result.instructions = machine.cpu().counters().instructions;
     result.counters = machine.cpu().counters();
     result.tty = machine.TtyOutput();
-    int exit_code = 0;
     for (const auto& process : machine.supervisor().processes()) {
       result.process_status.push_back(ProcessStatusLine(*process));
-      if (process->state == ProcessState::kExited) {
-        exit_code = std::max(exit_code, static_cast<int>(process->exit_code & 0xFF));
-      } else {
-        exit_code = 111;
-        if (result.outcome == MachineOutcome::kCompleted) {
-          result.outcome = MachineOutcome::kFailed;
-        }
-        if (result.failure.empty()) {
-          result.failure = result.process_status.back();
-        }
+    }
+    const ExitStatus status = MachineExitStatus(machine);
+    result.exit_code = status.code;
+    if (!status.failure.empty()) {
+      if (result.outcome == MachineOutcome::kCompleted) {
+        result.outcome = MachineOutcome::kFailed;
+      }
+      if (result.failure.empty()) {
+        result.failure = status.failure;
       }
     }
-    result.exit_code = exit_code;
   } else if (result.exit_code == 0) {
     result.exit_code = 111;
   }

@@ -108,6 +108,9 @@ class PhysicalMemory {
     return fault;
   }
   bool fault_pending() const { return latched_fault_.has_value(); }
+  // Reads the latch without consuming it (snapshot saving is
+  // observation-free).
+  const std::optional<MemoryFault>& latched_fault() const { return latched_fault_; }
   uint64_t fault_count() const { return fault_count_; }
 
   // Allocates `words` contiguous words; returns the base absolute address,

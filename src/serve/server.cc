@@ -327,21 +327,16 @@ void Server::Retire(Task* task, ServeStatus status, std::string error) {
     completion.cycles = machine.cpu().cycles();
     completion.instructions = machine.cpu().counters().instructions;
     completion.tty = machine.TtyOutput();
-    int exit_code = 0;
-    for (const auto& process : machine.supervisor().processes()) {
-      if (process->state == ProcessState::kExited) {
-        exit_code = std::max(exit_code, static_cast<int>(process->exit_code & 0xFF));
-      } else {
-        exit_code = 111;
-        if (completion.status == ServeStatus::kCompleted) {
-          completion.status = ServeStatus::kFailed;
-        }
-        if (completion.error.empty()) {
-          completion.error = ProcessStatusLine(*process);
-        }
+    const ExitStatus exit_status = MachineExitStatus(machine);
+    completion.exit_code = exit_status.code;
+    if (!exit_status.failure.empty()) {
+      if (completion.status == ServeStatus::kCompleted) {
+        completion.status = ServeStatus::kFailed;
+      }
+      if (completion.error.empty()) {
+        completion.error = exit_status.failure;
       }
     }
-    completion.exit_code = exit_code;
   } else if (completion.exit_code == 0) {
     completion.exit_code = 111;
   }

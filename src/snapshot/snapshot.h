@@ -23,7 +23,9 @@
 // bit-flipped, or wrong-endian images are rejected with structured errors
 // — never UB, never an abort. All multi-byte fields are written
 // byte-explicitly little-endian, so images are portable across hosts.
-// See DESIGN.md §8 for the format.
+// Apart from the meta and memory sections, the fields and their order
+// come from the state visitor in src/sys/machine_state.h. See DESIGN.md
+// §8 for the format.
 #ifndef SRC_SNAPSHOT_SNAPSHOT_H_
 #define SRC_SNAPSHOT_SNAPSHOT_H_
 

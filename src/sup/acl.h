@@ -39,6 +39,7 @@ class AccessControlList {
 
   bool empty() const { return entries_.empty(); }
   const std::vector<AclEntry>& entries() const { return entries_; }
+  std::vector<AclEntry>& entries() { return entries_; }
 
   // Grants `access` to every user.
   static AccessControlList Public(const SegmentAccess& access) {

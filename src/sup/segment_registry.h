@@ -92,12 +92,17 @@ class SegmentRegistry {
   Segno next_segno() const { return next_segno_; }
   const std::vector<RegisteredSegment>& segments() const { return segments_; }
 
-  // Snapshot support: replaces the registry wholesale (segment storage
-  // itself lives in PhysicalMemory and is restored with the core image);
-  // the by-name index is rebuilt from the restored table.
-  void RestoreState(Segno next_segno, std::vector<RegisteredSegment> segments) {
-    next_segno_ = next_segno;
-    segments_ = std::move(segments);
+  // The registry's table (segment storage itself lives in PhysicalMemory
+  // and travels with the core store). ApplyState replaces the table
+  // wholesale and rebuilds the by-name index from it.
+  struct State {
+    Segno next_segno = 0;
+    std::vector<RegisteredSegment> segments;
+  };
+  State CaptureState() const { return State{next_segno_, segments_}; }
+  void ApplyState(State state) {
+    next_segno_ = state.next_segno;
+    segments_ = std::move(state.segments);
     by_name_.clear();
     for (size_t i = 0; i < segments_.size(); ++i) {
       by_name_[segments_[i].name] = i;

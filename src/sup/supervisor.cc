@@ -980,32 +980,60 @@ void Supervisor::ReleaseStackArea(Ring ring, uint64_t words) {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot support
+// State capture and apply
 // ---------------------------------------------------------------------------
 
-Supervisor::SchedulerSnapshot Supervisor::SnapshotScheduler() const {
-  SchedulerSnapshot sched;
-  sched.ready_pids.reserve(ready_.size());
-  for (const Process* p : ready_) {
-    sched.ready_pids.push_back(p->pid);
+std::optional<int> Supervisor::State::UnknownPid() const {
+  const auto known = [this](int pid) {
+    for (const Process& p : processes) {
+      if (p.pid == pid) {
+        return true;
+      }
+    }
+    return false;
+  };
+  for (const int pid : ready_pids) {
+    if (!known(pid)) {
+      return pid;
+    }
   }
-  sched.current_pid = current_ != nullptr ? current_->pid : 0;
-  sched.handling_trap = handling_trap_;
-  sched.next_pid = next_pid_;
-  sched.anonymous_segments = anonymous_segments_;
-  return sched;
+  if (current_pid != 0 && !known(current_pid)) {
+    return current_pid;
+  }
+  return std::nullopt;
 }
 
-bool Supervisor::RestoreProcesses(std::vector<std::unique_ptr<Process>> processes,
-                                  const SchedulerSnapshot& sched, std::string* error) {
-  processes_ = std::move(processes);
-  ready_.clear();
-  current_ = nullptr;
-  handling_trap_ = sched.handling_trap;
-  next_pid_ = sched.next_pid;
-  anonymous_segments_ = sched.anonymous_segments;
+Supervisor::State Supervisor::CaptureState() const {
+  State state;
+  state.next_pid = next_pid_;
+  state.anonymous_segments = anonymous_segments_;
+  state.handling_trap = handling_trap_;
+  state.current_pid = current_ != nullptr ? current_->pid : 0;
+  for (const Process* p : ready_) {
+    state.ready_pids.push_back(p->pid);
+  }
+  state.tty_output = tty_output_;
+  state.tty_input = tty_input_;
+  state.registered_users = registered_users_;
+  state.processes.reserve(processes_.size());
+  for (const auto& p : processes_) {
+    state.processes.push_back(*p);
+  }
+  return state;
+}
 
-  auto find_pid = [this](int pid) -> Process* {
+void Supervisor::ApplyState(State state) {
+  next_pid_ = state.next_pid;
+  anonymous_segments_ = state.anonymous_segments;
+  handling_trap_ = state.handling_trap;
+  tty_output_ = std::move(state.tty_output);
+  tty_input_ = std::move(state.tty_input);
+  registered_users_ = std::move(state.registered_users);
+  processes_.clear();
+  for (Process& p : state.processes) {
+    processes_.push_back(std::make_unique<Process>(std::move(p)));
+  }
+  const auto find = [this](int pid) -> Process* {
     for (const auto& p : processes_) {
       if (p->pid == pid) {
         return p.get();
@@ -1013,26 +1041,11 @@ bool Supervisor::RestoreProcesses(std::vector<std::unique_ptr<Process>> processe
     }
     return nullptr;
   };
-  for (const int pid : sched.ready_pids) {
-    Process* p = find_pid(pid);
-    if (p == nullptr) {
-      if (error != nullptr) {
-        *error = StrFormat("scheduler names unknown ready pid %d", pid);
-      }
-      return false;
-    }
-    ready_.push_back(p);
+  ready_.clear();
+  for (const int pid : state.ready_pids) {
+    ready_.push_back(find(pid));
   }
-  if (sched.current_pid != 0) {
-    current_ = find_pid(sched.current_pid);
-    if (current_ == nullptr) {
-      if (error != nullptr) {
-        *error = StrFormat("scheduler names unknown current pid %d", sched.current_pid);
-      }
-      return false;
-    }
-  }
-  return true;
+  current_ = state.current_pid != 0 ? find(state.current_pid) : nullptr;
 }
 
 }  // namespace rings

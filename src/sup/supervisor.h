@@ -112,33 +112,26 @@ class Supervisor {
   void set_quantum(int64_t quantum) { options_.quantum = quantum; }
   void set_trap_storm_limit(int64_t limit) { options_.trap_storm_limit = limit; }
 
-  // --- snapshot support (src/snapshot) ------------------------------------
-
-  // Scheduler state by pid (processes are identified by pid in the image;
-  // pointers are rebuilt on restore). current_pid 0 = no current process.
-  struct SchedulerSnapshot {
-    std::vector<int> ready_pids;
-    int current_pid = 0;
-    bool handling_trap = false;
+  // The process table, the scheduler (by pid: pointers are rebuilt on
+  // apply; current_pid 0 = no current process), the typewriter buffers
+  // and the registered-users list.
+  struct State {
     int next_pid = 1;
     int anonymous_segments = 0;
+    bool handling_trap = false;
+    int current_pid = 0;
+    std::vector<int> ready_pids;
+    std::string tty_output;
+    std::string tty_input;
+    std::vector<std::string> registered_users;
+    std::vector<Process> processes;
+
+    // A pid the scheduler fields name that no process carries, if any.
+    // Decoding rejects such a state, so ApplyState never meets one.
+    std::optional<int> UnknownPid() const;
   };
-  SchedulerSnapshot SnapshotScheduler() const;
-
-  // Replaces the process table and scheduler state. Every pid named by
-  // `sched` must exist in `processes`; returns false (with *error filled)
-  // otherwise, leaving the supervisor unusable — callers treat that as a
-  // failed restore and discard the machine.
-  bool RestoreProcesses(std::vector<std::unique_ptr<Process>> processes,
-                        const SchedulerSnapshot& sched, std::string* error);
-
-  void RestoreTty(std::string output, std::string input) {
-    tty_output_ = std::move(output);
-    tty_input_ = std::move(input);
-  }
-  void RestoreRegisteredUsers(std::vector<std::string> users) {
-    registered_users_ = std::move(users);
-  }
+  State CaptureState() const;
+  void ApplyState(State state);
 
  private:
   // Charges `steps` logical supervisor steps to the cycle account.

@@ -56,62 +56,43 @@ std::unique_ptr<Machine> Machine::CloneFrom(const Machine& golden) {
     return nullptr;
   }
   std::unique_ptr<Machine> clone(new Machine(golden, CloneTag{}));
-
-  // Copy processor state in snapshot-restore order: architectural state
-  // first, host caches stay cold (they are rebuilt on demand and, like
-  // tlb_*/block_*, never feed fingerprints), counters last so nothing
-  // below perturbs them.
-  const Cpu& src = golden.cpu_;
-  Cpu& dst = clone->cpu_;
-  dst.set_checks_enabled(src.checks_enabled());
-  dst.RestoreExecutionState(src.regs(), src.tpr(), src.cycles());
-  dst.RestoreTimer(src.timer_enabled(), src.timer());
-  dst.RestoreTrapState(src.trap_pending(), src.trap_state());
-  // The SDW cache is timing-architectural (its hits and misses feed the
-  // cycle account), so its exact contents come along.
-  dst.sdw_cache().set_enabled(src.sdw_cache().enabled());
-  for (size_t e = 0; e < SdwCache::kEntries; ++e) {
-    const SdwCache::SnapshotEntry entry = src.sdw_cache().SnapshotAt(e);
-    dst.sdw_cache().RestoreEntry(e, entry.valid, entry.segno, entry.sdw);
-  }
-  dst.sdw_cache().RestoreStats(src.sdw_cache().hits(), src.sdw_cache().misses());
-  dst.CopyDecodeTablesFrom(src);
-  dst.counters() = src.counters();
+  clone->ApplyState(golden.CaptureState());
   // The clone shares the golden's decode image; it built none itself.
-  dst.counters().shared_decode_builds = 0;
-
-  clone->registry_.RestoreState(golden.registry_.next_segno(),
-                                std::vector<RegisteredSegment>(golden.registry_.segments()));
-
-  std::vector<std::unique_ptr<Process>> processes;
-  processes.reserve(golden.supervisor_.processes().size());
-  for (const auto& process : golden.supervisor_.processes()) {
-    processes.push_back(std::make_unique<Process>(*process));
-  }
-  std::string error;
-  if (!clone->supervisor_.RestoreProcesses(std::move(processes),
-                                           golden.supervisor_.SnapshotScheduler(), &error)) {
-    return nullptr;  // unreachable: the parent's pids are consistent
-  }
-  clone->supervisor_.RestoreTty(golden.supervisor_.tty_output(), golden.supervisor_.tty_input());
-  clone->supervisor_.RestoreRegisteredUsers(golden.supervisor_.registered_users());
-
-  clone->trace_.Restore(golden.trace_.enabled(),
-                        std::deque<TraceEvent>(golden.trace_.events()));
-
-  if (golden.fault_injector_ != nullptr) {
-    const FaultInjector& fi = *golden.fault_injector_;
-    FaultInjector* injector = clone->EnsureFaultInjector(fi.config());
-    injector->RestoreStream(fi.rng().state(0), fi.rng().state(1), fi.snapshot_rng().state(0),
-                            fi.snapshot_rng().state(1), fi.counts(), fi.sequence(),
-                            std::vector<FaultEvent>(fi.events()));
-  }
-
-  clone->pending_io_ = golden.pending_io_;
-  clone->audit_findings_ = golden.audit_findings_;
-  clone->audit_runs_ = golden.audit_runs_;
-  clone->tty_operations_ = golden.tty_operations_;
+  clone->cpu_.CopyDecodeTablesFrom(golden.cpu_);
+  clone->cpu_.counters().shared_decode_builds = 0;
   return clone;
+}
+
+MachineState Machine::CaptureState() const {
+  MachineState state;
+  state.cpu = cpu_.CaptureState();
+  state.registry = registry_.CaptureState();
+  state.supervisor = supervisor_.CaptureState();
+  state.trace = trace_.CaptureState();
+  state.device = DeviceState{tty_operations_, audit_runs_, pending_io_};
+  if (fault_injector_ != nullptr) {
+    state.fault = fault_injector_->CaptureState();
+  }
+  return state;
+}
+
+void Machine::ApplyState(MachineState state) {
+  cpu_.ApplyState(state.cpu);
+  registry_.ApplyState(std::move(state.registry));
+  supervisor_.ApplyState(std::move(state.supervisor));
+  trace_.ApplyState(std::move(state.trace));
+  // The injector's configuration travels with its stream, so a machine
+  // built without one gains it and one built with one loses it.
+  config_.fault = state.fault.has_value() ? state.fault->config : FaultConfig{};
+  fault_injector_.reset();
+  if (state.fault.has_value()) {
+    fault_injector_ = std::make_unique<FaultInjector>(config_.fault);
+    fault_injector_->ApplyState(std::move(*state.fault));
+  }
+  cpu_.set_fault_injector(fault_injector_.get());
+  tty_operations_ = state.device.tty_operations;
+  audit_runs_ = state.device.audit_runs;
+  pending_io_ = std::move(state.device.pending_io);
 }
 
 bool Machine::LoadProgram(const Program& program,
@@ -191,19 +172,6 @@ bool Machine::LoadProgramSource(std::string_view source,
     return false;
   }
   return LoadProgram(result.program, acls, error);
-}
-
-FaultInjector* Machine::EnsureFaultInjector(const FaultConfig& config) {
-  config_.fault = config;
-  fault_injector_ = std::make_unique<FaultInjector>(config);
-  cpu_.set_fault_injector(fault_injector_.get());
-  return fault_injector_.get();
-}
-
-void Machine::ClearFaultInjector() {
-  fault_injector_.reset();
-  cpu_.set_fault_injector(nullptr);
-  config_.fault = FaultConfig{};
 }
 
 void Machine::StartIo(uint8_t device, Word detail) {

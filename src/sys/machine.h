@@ -20,6 +20,7 @@
 #include "src/sup/audit.h"
 #include "src/sup/segment_registry.h"
 #include "src/sup/supervisor.h"
+#include "src/sys/machine_state.h"
 #include "src/trace/event_trace.h"
 
 namespace rings {
@@ -67,20 +68,15 @@ struct RunResult {
 
 class Machine {
  public:
-  // A scheduled I/O completion on the simulated channel.
-  struct IoEvent {
-    uint64_t due_cycle = 0;
-    uint8_t device = 0;
-  };
-
   explicit Machine(MachineConfig config = MachineConfig{});
 
   // Copy-on-write clone: a new machine whose core store aliases `golden`'s
   // frames read-only (privatized frame-by-frame on first store) and whose
-  // processor, registry, supervisor, trace, and device state are exact
-  // copies — so the clone runs the same trajectory, fingerprint, and
-  // counters a fresh boot+load of the same program would, at O(registers +
-  // frame table) spawn cost instead of O(memory). Skips supervisor
+  // state is ApplyState(golden.CaptureState()) — so the clone runs the
+  // same trajectory, fingerprint, and counters a fresh boot+load of the
+  // same program would, at O(state + frame table) spawn cost instead of
+  // O(memory). It shares the golden's decode image and, like a restored
+  // machine, starts with an empty audit-findings log. Skips supervisor
   // initialization and program load entirely. Cloning the same sealed
   // golden machine from multiple threads is safe (see
   // GoldenImageRegistry); cloning a machine that is still running is safe
@@ -106,7 +102,10 @@ class Machine {
   FaultInjector* fault_injector() { return fault_injector_.get(); }
   const FaultInjector* fault_injector() const { return fault_injector_.get(); }
 
-  // Per-quantum audit results (empty unless audit_every_quantum).
+  // Per-quantum audit results (empty unless audit_every_quantum). The
+  // findings are this machine's own host-side log: snapshots and clones
+  // carry audit_runs() but not the findings, so a restored or cloned
+  // machine starts with none.
   const std::vector<AuditFinding>& audit_findings() const { return audit_findings_; }
   uint64_t audit_runs() const { return audit_runs_; }
 
@@ -145,19 +144,15 @@ class Machine {
   std::optional<Word> PeekSegment(const std::string& name, Wordno wordno) const;
   bool PokeSegment(const std::string& name, Wordno wordno, Word value);
 
-  // --- snapshot support (src/snapshot) ------------------------------------
   const MachineConfig& config() const { return config_; }
   const std::deque<IoEvent>& pending_io() const { return pending_io_; }
-  void RestorePendingIo(std::deque<IoEvent> io) { pending_io_ = std::move(io); }
-  void RestoreDeviceCounters(uint64_t tty_operations, uint64_t audit_runs) {
-    tty_operations_ = tty_operations;
-    audit_runs_ = audit_runs;
-  }
-  // Installs (or reconfigures) the fault injector so an image's injector
-  // stream can be reinstated on a machine built without one; returns the
-  // live injector. ClearFaultInjector removes it (image had none).
-  FaultInjector* EnsureFaultInjector(const FaultConfig& config);
-  void ClearFaultInjector();
+
+  // Everything but the core store and host-only state (see
+  // src/sys/machine_state.h). ApplyState installs `state` exactly: derived
+  // host caches are flushed first and counters set last. It cannot fail —
+  // the snapshot reader validates a decoded state before applying it.
+  MachineState CaptureState() const;
+  void ApplyState(MachineState state);
 
  private:
   // Tag for the cloning constructor: builds the shell (COW memory, cpu,

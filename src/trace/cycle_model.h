@@ -37,6 +37,7 @@ struct CycleModel {
   uint64_t io_latency = 200;
 
   static CycleModel Default() { return CycleModel{}; }
+  bool operator==(const CycleModel&) const = default;
 };
 
 }  // namespace rings

@@ -58,14 +58,19 @@ class EventTrace {
 
   size_t capacity() const { return capacity_; }
 
-  // Snapshot support: replaces the buffered events and the enable flag
-  // (the event sequence feeds the machine fingerprint when enabled, so a
-  // restored machine must resume with the identical buffer). Events past
-  // this trace's capacity are trimmed from the front, matching what
-  // Record would have retained.
-  void Restore(bool enabled, std::deque<TraceEvent> events) {
-    enabled_ = enabled;
-    events_ = std::move(events);
+  // The enable flag and the buffered events (the event sequence feeds
+  // the machine fingerprint when enabled, so a restored or cloned machine
+  // resumes with the identical buffer). ApplyState trims events past this
+  // trace's capacity from the front, matching what Record would have
+  // retained.
+  struct State {
+    bool enabled = false;
+    std::deque<TraceEvent> events;
+  };
+  State CaptureState() const { return State{enabled_, events_}; }
+  void ApplyState(State state) {
+    enabled_ = state.enabled;
+    events_ = std::move(state.events);
     while (events_.size() > capacity_) {
       events_.pop_front();
     }

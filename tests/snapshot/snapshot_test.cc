@@ -16,8 +16,11 @@
 
 #include "src/base/xorshift.h"
 #include "src/fleet/fingerprint.h"
+#include "src/mem/descriptor_segment.h"
 #include "src/mem/page_table.h"
+#include "src/sup/audit.h"
 #include "src/sys/machine.h"
+#include "src/sys/machine_state.h"
 #include "tests/snapshot/image_surgery.h"
 
 namespace rings {
@@ -486,6 +489,116 @@ TEST(SnapshotImage, SaveBytesArePinned) {
   EXPECT_EQ(image_surgery::Crc32(image), kPinnedImageCrc);
 }
 
+// The second pinned guest covers the state the first image leaves empty:
+// a ring-4 program makes an upward call into a ring-5 loop (one stacked
+// return gate), which pounds two demand-paged pages and writes to the
+// typewriter through the ring-1 gate (I/O completions in flight), on a
+// machine with a seeded fault injector.
+constexpr char kInFlightSource[] = R"(
+        .segment main
+start:  epp   pr2, hiptr,*
+        call  pr2|0            ; upward call: ring 4 -> ring 5
+        mme   0
+hiptr:  .its  4, high, 0
+
+        .segment high
+        .gates 1
+entry:  spp   pr7, savew,*     ; the tty calls below clobber PR7
+hloop:  aos   cnt,*
+        lda   far,*
+        adai  1
+        sta   far,*
+        epp   pr1, arglist
+        epp   pr2, ttyg,*
+        call  pr2|0            ; ring 5 -> ring 1 tty gate: starts an I/O
+        lda   cnt,*
+        sba   hlim
+        tmi   hloop
+        ret   saver,*          ; downward return through the stacked gate
+hlim:   .word 60
+cnt:    .its  5, bigdata, 10
+far:    .its  5, bigdata, 1034
+arglist: .word 1
+        .its  5, high, msg
+        .word 1
+msg:    .word 42
+ttyg:   .its  5, sup_gates, 1
+savew:  .its  5, hdata, 0
+saver:  .its  5, hdata, 0,*
+
+        .segment hdata
+        .block 1
+)";
+
+std::unique_ptr<Machine> MakeInFlightMachine(const MachineConfig& config) {
+  auto machine = std::make_unique<Machine>(config);
+  if (!machine->registry()
+           .CreatePagedSegment("bigdata", 2 * kPageWords,
+                               AccessControlList::Public(MakeDataSegment(5, 5)),
+                               /*populate=*/false)
+           .has_value()) {
+    return nullptr;
+  }
+  std::map<std::string, AccessControlList> acls;
+  acls["main"] = AccessControlList::Public(MakeProcedureSegment(4, 4));
+  acls["high"] = AccessControlList::Public(MakeProcedureSegment(5, 5, 5, 1));
+  acls["hdata"] = AccessControlList::Public(MakeDataSegment(5, 5));
+  if (!machine->LoadProgramSource(kInFlightSource, acls)) {
+    return nullptr;
+  }
+  machine->trace().set_enabled(true);
+  Process* p = machine->Login("inflight");
+  machine->supervisor().InitiateAll(p);
+  if (!machine->Start(p, "main", "start", kUserRing)) {
+    return nullptr;
+  }
+  return machine;
+}
+
+// The in-flight guest on the reference engine with a seeded injector,
+// run in 150-cycle slices until an upward call, an I/O completion and an
+// injected fault are all outstanding at a Run boundary.
+std::unique_ptr<Machine> MakePinnedInFlightMachine() {
+  MachineConfig config;
+  config.fast_path = false;
+  config.block_engine = false;
+  config.fault = FaultConfig::Uniform(/*seed=*/29, /*ppm=*/400);
+  std::unique_ptr<Machine> live = MakeInFlightMachine(config);
+  if (live == nullptr) {
+    return nullptr;
+  }
+  for (int slice = 0; slice < 400; ++slice) {
+    live->Run(150);
+    const Process& p = *live->supervisor().processes().front();
+    if (!p.return_gates.empty() && !live->pending_io().empty() &&
+        !live->fault_injector()->events().empty()) {
+      return live;
+    }
+  }
+  return nullptr;
+}
+
+// Length and CRC-32 of MakePinnedInFlightMachine's image, recorded before
+// the section codecs were rewritten as one visitor per structure.
+constexpr size_t kPinnedInFlightImageBytes = 15852;
+constexpr uint32_t kPinnedInFlightImageCrc = 0x7B62DBD2u;
+
+TEST(SnapshotImage, InFlightSaveBytesArePinned) {
+  std::unique_ptr<Machine> live = MakePinnedInFlightMachine();
+  ASSERT_NE(live, nullptr);
+  std::vector<uint8_t> image;
+  std::string error;
+  ASSERT_TRUE(SaveSnapshot(*live, &image, &error)) << error;
+  EXPECT_EQ(image.size(), kPinnedInFlightImageBytes);
+  EXPECT_EQ(image_surgery::Crc32(image), kPinnedInFlightImageCrc);
+  // Restoring and re-saving reproduces the bytes exactly.
+  Machine restored(live->config());
+  ASSERT_TRUE(RestoreSnapshot(image, &restored, &error)) << error;
+  std::vector<uint8_t> resaved;
+  ASSERT_TRUE(SaveSnapshot(restored, &resaved, &error)) << error;
+  EXPECT_EQ(resaved, image);
+}
+
 TEST(SnapshotImage, RestoreKeepsOnlyPopulatedFramesAndResavesIdentically) {
   std::unique_ptr<Machine> live = MakePinnedMachine();
   ASSERT_NE(live, nullptr);
@@ -615,6 +728,253 @@ TEST(SnapshotImage, RestoreConfigTakesShapeFromImageAndEngineFromCaller) {
   Machine restored(RestoreConfig(meta, engine));
   ASSERT_TRUE(RestoreSnapshot(image, &restored, &error)) << error;
   EXPECT_FALSE(restored.config().block_engine);
+}
+
+// ---------------------------------------------------------------------------
+// Clone, restore and live agree field by field, through the state visitor.
+// ---------------------------------------------------------------------------
+
+// An Io for the state visitor that flattens a state into one entry per
+// field, so two states compare field by field — including any field a
+// later change adds to a Visit.
+class FlattenFields {
+ public:
+  static constexpr bool kDecodes = false;
+
+  template <class T>
+  void U8(const T& v) {
+    Put(v);
+  }
+  template <class T>
+  void U32(const T& v) {
+    Put(v);
+  }
+  template <class T>
+  void U64(const T& v) {
+    Put(v);
+  }
+  template <class T>
+  void I64(const T& v) {
+    Put(v);
+  }
+  void Bool(bool v) { Put(v); }
+  void Str(const std::string& s) { fields.push_back("'" + s + "'"); }
+  void RingNo(Ring ring, const char*) { Put(ring); }
+  template <class E>
+  void Enum8(const E& e, uint64_t, const char*) {
+    Put(e);
+  }
+  template <class E>
+  void Enum32(const E& e, uint64_t, const char*) {
+    Put(e);
+  }
+  void Count(size_t n, const char*) { Put(n); }
+  template <class C, class Fn>
+  void Seq(C& items, Fn&& fn) {
+    Put(items.size());
+    for (auto& item : items) {
+      fn(item);
+    }
+  }
+  template <class M, class Fn>
+  void Map(M& map, Fn&& fn) {
+    Put(map.size());
+    for (auto& [key, value] : map) {
+      fn(key, value);
+    }
+  }
+
+  std::vector<std::string> fields;
+
+ private:
+  template <class T>
+  void Put(const T& v) {
+    fields.push_back(std::to_string(static_cast<uint64_t>(v)));
+  }
+};
+
+// A machine's state, field by field, with the host-only counters zeroed:
+// they count host work, not machine state (a clone, for one, zeroes
+// shared_decode_builds because it shares its golden's decode image).
+std::vector<std::string> StateFields(const Machine& machine) {
+  MachineState state = machine.CaptureState();
+  Counters::ForEachField([&state](const char*, uint64_t Counters::* member, bool host_only) {
+    if (host_only) {
+      state.cpu.counters.*member = 0;
+    }
+  });
+  FlattenFields flat;
+  Visit(flat, state);
+  return flat.fields;
+}
+
+void ExpectSameFields(const std::vector<std::string>& want, const std::vector<std::string>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(want[i], got[i]) << "first difference at field " << i;
+  }
+}
+
+TEST(Snapshot, CloneRestoreAndLiveStatesAreFieldIdentical) {
+  for (const Guest& guest : kGuests) {
+    for (const uint64_t cut : {700u, 2'500u, 6'000u}) {
+      SCOPED_TRACE(std::string(guest.name) + " cut " + std::to_string(cut));
+      const MachineConfig config;
+      std::unique_ptr<Machine> live = guest.factory(config);
+      ASSERT_NE(live, nullptr);
+      live->Run(cut);
+
+      std::unique_ptr<Machine> clone = Machine::CloneFrom(*live);
+      ASSERT_NE(clone, nullptr);
+      std::vector<uint8_t> image;
+      std::string error;
+      ASSERT_TRUE(SaveSnapshot(*live, &image, &error)) << error;
+      Machine restored(config);
+      ASSERT_TRUE(RestoreSnapshot(image, &restored, &error)) << error;
+
+      const std::vector<std::string> want = StateFields(*live);
+      ExpectSameFields(want, StateFields(*clone));
+      ExpectSameFields(want, StateFields(restored));
+      EXPECT_EQ(clone->cpu().counters().shared_decode_builds, 0u);
+    }
+  }
+  // The in-flight guest adds a fault stream, a stacked return gate and
+  // pending I/O.
+  std::unique_ptr<Machine> live = MakePinnedInFlightMachine();
+  ASSERT_NE(live, nullptr);
+  std::unique_ptr<Machine> clone = Machine::CloneFrom(*live);
+  ASSERT_NE(clone, nullptr);
+  std::vector<uint8_t> image;
+  std::string error;
+  ASSERT_TRUE(SaveSnapshot(*live, &image, &error)) << error;
+  Machine restored(MachineConfig{});
+  ASSERT_TRUE(RestoreSnapshot(image, &restored, &error)) << error;
+  const std::vector<std::string> want = StateFields(*live);
+  ExpectSameFields(want, StateFields(*clone));
+  ExpectSameFields(want, StateFields(restored));
+}
+
+// The per-quantum audit findings are the machine's own host-side log:
+// the image has no field for them, so a clone starts without them just
+// as a restored machine does. The audit count travels with both.
+TEST(Snapshot, CloneAndRestoreAgreeOnTheAuditLog) {
+  MachineConfig config;
+  config.quantum = 200;
+  config.audit_every_quantum = true;
+  std::unique_ptr<Machine> live = MakeCallLoopMachine(config);
+  ASSERT_NE(live, nullptr);
+  // A malformed descriptor in the process's virtual memory, which the
+  // auditor reports at every quantum.
+  const Process& process = *live->supervisor().processes().front();
+  Sdw malformed;
+  malformed.present = true;
+  malformed.bound = 4;
+  malformed.access.flags = {true, false, false};
+  malformed.access.brackets = Brackets{5, 2, 1};
+  DescriptorSegment(&live->memory(), process.dbr).Store(100, malformed);
+  live->Run(3'000);
+  ASSERT_FALSE(live->audit_findings().empty());
+
+  std::unique_ptr<Machine> clone = Machine::CloneFrom(*live);
+  ASSERT_NE(clone, nullptr);
+  std::vector<uint8_t> image;
+  std::string error;
+  ASSERT_TRUE(SaveSnapshot(*live, &image, &error)) << error;
+  Machine restored(config);
+  ASSERT_TRUE(RestoreSnapshot(image, &restored, &error)) << error;
+
+  const auto findings = [](const Machine& machine) {
+    std::vector<std::string> lines;
+    for (const AuditFinding& finding : machine.audit_findings()) {
+      lines.push_back(finding.ToString());
+    }
+    return lines;
+  };
+  EXPECT_EQ(findings(*clone), findings(restored));
+  EXPECT_TRUE(findings(*clone).empty());
+  EXPECT_EQ(clone->audit_runs(), live->audit_runs());
+  EXPECT_EQ(restored.audit_runs(), live->audit_runs());
+
+  // Run on, both copies log the same new findings.
+  ASSERT_TRUE(clone->Run(100'000'000).idle);
+  ASSERT_TRUE(restored.Run(100'000'000).idle);
+  EXPECT_FALSE(findings(*clone).empty());
+  EXPECT_EQ(findings(*clone), findings(restored));
+  EXPECT_EQ(clone->audit_runs(), restored.audit_runs());
+}
+
+// ---------------------------------------------------------------------------
+// Hostile images that pass every CRC reach the section decoders.
+// ---------------------------------------------------------------------------
+
+// Seeded byte flips and truncations of one section's payload, re-CRC'd so
+// every checksum accepts the image. Each image must either restore and
+// run, or be rejected with an error naming the damaged section (or, for
+// meta, the machine shape it no longer matches) and leave the target
+// machine untouched.
+TEST(SnapshotImage, ReCrcdPayloadMutationsEndInStructuredErrors) {
+  using GuestImage = std::pair<const char*, std::vector<uint8_t>>;
+  std::vector<GuestImage> images;
+  for (const Guest& guest : kGuests) {
+    std::unique_ptr<Machine> live = guest.factory(MachineConfig{});
+    ASSERT_NE(live, nullptr);
+    live->Run(2'500);
+    std::vector<uint8_t> image;
+    std::string error;
+    ASSERT_TRUE(SaveSnapshot(*live, &image, &error)) << error;
+    images.emplace_back(guest.name, std::move(image));
+  }
+  {
+    std::unique_ptr<Machine> live = MakePinnedInFlightMachine();
+    ASSERT_NE(live, nullptr);
+    std::vector<uint8_t> image;
+    std::string error;
+    ASSERT_TRUE(SaveSnapshot(*live, &image, &error)) << error;
+    images.emplace_back("in-flight", std::move(image));
+  }
+
+  constexpr int kMutationsPerSection = 30;
+  int restored_count = 0;
+  int rejected_count = 0;
+  for (const auto& [name, pristine] : images) {
+    const image_surgery::Parts parts = image_surgery::Split(pristine);
+    for (const image_surgery::Section& section : parts.sections) {
+      Xorshift rng(0x5EC7u * 131 + section.id);
+      for (int trial = 0; trial < kMutationsPerSection; ++trial) {
+        SCOPED_TRACE(std::string(name) + " section " + std::to_string(section.id) + " trial " +
+                     std::to_string(trial));
+        image_surgery::Parts mutated = parts;
+        std::vector<uint8_t>& payload = mutated.payload(section.id);
+        if (rng.Below(3) == 0 && !payload.empty()) {
+          payload.resize(rng.Below(payload.size()));
+        } else {
+          for (uint64_t flips = 1 + rng.Below(3); flips > 0 && !payload.empty(); --flips) {
+            payload[rng.Below(payload.size())] ^= static_cast<uint8_t>(1 + rng.Below(255));
+          }
+        }
+        const std::vector<uint8_t> image = image_surgery::Join(mutated);
+
+        Machine target(MachineConfig{});
+        const uint64_t untouched = FingerprintMachine(target);
+        std::string error;
+        if (RestoreSnapshot(image, &target, &error)) {
+          target.Run(20'000);
+          ++restored_count;
+          continue;
+        }
+        ++rejected_count;
+        const std::string prefix = "section " + std::to_string(section.id) + ": ";
+        const bool names_section = error.rfind(prefix, 0) == 0;
+        const bool meta_shape = section.id == image_surgery::kMetaSection &&
+                                error.find("does not match") != std::string::npos;
+        EXPECT_TRUE(names_section || meta_shape) << error;
+        EXPECT_EQ(FingerprintMachine(target), untouched);
+      }
+    }
+  }
+  // Both outcomes occur, so the decoders past the CRCs were reached.
+  EXPECT_GT(restored_count, 0);
+  EXPECT_GT(rejected_count, 0);
 }
 
 TEST(Snapshot, FileRoundTripAndFileErrors) {

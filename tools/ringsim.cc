@@ -79,6 +79,7 @@
 #include <vector>
 
 #include "src/base/strings.h"
+#include "src/fleet/fingerprint.h"
 #include "src/fleet/fleet.h"
 #include "src/fleet/golden_image.h"
 #include "src/fuzz/differential.h"
@@ -156,21 +157,18 @@ int ReportRun(const Machine& machine, const RunResult& result, bool trace, bool 
     std::printf("counters: %s\n", machine.cpu().counters().ToString().c_str());
   }
   std::printf("%s\n", result.ToString().c_str());
-  int exit_code = 0;
   for (const auto& p : machine.supervisor().processes()) {
     if (p->state == ProcessState::kExited) {
       std::printf("process %d ('%s'): exited with %lld\n", p->pid, p->user.c_str(),
                   static_cast<long long>(p->exit_code));
-      exit_code = std::max(exit_code, static_cast<int>(p->exit_code & 0xFF));
     } else {
       std::printf("process %d ('%s'): %s (%s at %u|%u)\n", p->pid, p->user.c_str(),
                   p->state == ProcessState::kKilled ? "KILLED" : "did not finish",
                   std::string(TrapCauseName(p->kill_cause)).c_str(), p->kill_pc.segno,
                   p->kill_pc.wordno);
-      exit_code = 111;
     }
   }
-  return exit_code;
+  return MachineExitStatus(machine).code;
 }
 
 int Run(const std::string& path, bool list, bool trace, bool audit, bool fast_path,
