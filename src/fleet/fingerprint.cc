@@ -1,6 +1,7 @@
 #include "src/fleet/fingerprint.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/base/strings.h"
 
@@ -67,6 +68,30 @@ ExitStatus MachineExitStatus(const Machine& machine) {
     }
   }
   return status;
+}
+
+RetiredMachine RetireMachine(const Machine* machine, bool completed, std::string failure) {
+  RetiredMachine out;
+  out.completed = completed;
+  out.failure = std::move(failure);
+  if (machine != nullptr) {
+    out.fingerprint = FingerprintMachine(*machine);
+    out.cycles = machine->cpu().cycles();
+    out.instructions = machine->cpu().counters().instructions;
+    out.tty = machine->TtyOutput();
+    ExitStatus status = MachineExitStatus(*machine);
+    out.exit_code = status.code;
+    if (!status.failure.empty()) {
+      out.completed = false;
+      if (out.failure.empty()) {
+        out.failure = std::move(status.failure);
+      }
+    }
+  }
+  if (!out.completed && out.exit_code == 0) {
+    out.exit_code = 111;
+  }
+  return out;
 }
 
 uint64_t FingerprintCounters(const Counters& counters) {

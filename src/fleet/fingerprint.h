@@ -70,6 +70,23 @@ struct ExitStatus {
 };
 ExitStatus MachineExitStatus(const Machine& machine);
 
+// The retirement rule the fleet and the server share: a retiring
+// machine's simulated face (zero without a machine) and how its run
+// ended. `completed` and `failure` are the caller's verdict; a process
+// that did not exit makes the run incomplete and, absent a caller reason,
+// is the failure. The exit code is MachineExitStatus's, or 111 when there
+// is no machine or an incomplete run's processes all exited 0.
+struct RetiredMachine {
+  uint64_t fingerprint = 0;
+  uint64_t cycles = 0;
+  uint64_t instructions = 0;
+  std::string tty;
+  int exit_code = 111;
+  bool completed = false;
+  std::string failure;
+};
+RetiredMachine RetireMachine(const Machine* machine, bool completed, std::string failure);
+
 }  // namespace rings
 
 #endif  // SRC_FLEET_FINGERPRINT_H_

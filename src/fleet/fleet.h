@@ -1,10 +1,11 @@
 // The fleet engine: run N independent Machine instances across a pool of
 // host worker threads. Each machine owns its memory, supervisor, caches,
 // and (optionally) a seeded fault injector, so machines share no mutable
-// state; the engine schedules them as a work-stealing queue of
-// per-machine quanta — a quantum is Machine::Run over a fixed
-// simulated-cycle slice — and retires each machine with a structured
-// MachineResult when it goes idle, fails, or exhausts its budget.
+// state; the engine runs them as one batch on the slice pool
+// (src/fleet/slice_pool.h), one quantum per slice — a quantum is
+// Machine::Run over a fixed simulated-cycle slice — and retires each
+// machine with a structured MachineResult when it goes idle, fails, or
+// exhausts its budget.
 //
 // Determinism is the contract, not an aspiration: a machine's final
 // fingerprint, counters, and trap sequence are bit-identical whether the
@@ -21,17 +22,14 @@
 #ifndef SRC_FLEET_FLEET_H_
 #define SRC_FLEET_FLEET_H_
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "src/fleet/slice_pool.h"
 #include "src/sys/machine.h"
 #include "src/trace/counters.h"
 
@@ -39,7 +37,7 @@ namespace rings {
 
 struct FleetConfig {
   // Host worker threads. Values below 1 are treated as 1; threads beyond
-  // the number of live machines just find the queues empty.
+  // the number of live machines just stay parked.
   int threads = 1;
   // Simulated-cycle budget of one scheduling quantum. Smaller slices
   // interleave machines more finely (and bound how long a worker is
@@ -116,13 +114,6 @@ struct MachineResult {
   std::string ToString() const;
 };
 
-// Per-worker host utilization for one Fleet::Run.
-struct WorkerStats {
-  double busy_seconds = 0;  // time spent inside quanta (incl. construction)
-  uint64_t quanta = 0;
-  uint64_t steals = 0;  // quanta obtained from another worker's queue
-};
-
 struct FleetStats {
   size_t machines = 0;
   size_t completed = 0;
@@ -174,8 +165,7 @@ class Fleet {
 
  private:
   // A live (not yet retired) machine and its scheduling state. Touched
-  // only by the worker currently holding its index, which is in exactly
-  // one queue or one worker's hands at a time.
+  // only by the pool worker currently holding its index.
   struct Slot {
     std::unique_ptr<Machine> machine;
     uint64_t consumed_cycles = 0;
@@ -185,12 +175,6 @@ class Fleet {
     std::vector<uint8_t> checkpoint;
     uint64_t checkpoint_cycles = 0;
     int restarts = 0;
-  };
-
-  struct Worker {
-    std::mutex mu;
-    std::deque<size_t> queue;
-    WorkerStats stats;
   };
 
   // Runs one quantum of machine `index`; returns true when the machine
@@ -204,15 +188,11 @@ class Fleet {
   // (the caller retires the machine as it would have without healing).
   bool TryRestart(size_t index, const std::string& why);
   void Retire(size_t index, MachineOutcome outcome, std::string host_failure);
-  std::optional<size_t> Dequeue(size_t worker);
-  void WorkerLoop(size_t worker);
 
   FleetConfig config_;
   std::vector<FleetJob> jobs_;
   std::vector<MachineResult> results_;
   std::vector<Slot> slots_;
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::atomic<size_t> live_{0};
 };
 
 }  // namespace rings

@@ -37,6 +37,12 @@ MachineConfig EngineConfig(const ServeConfig& serve) {
   return config;
 }
 
+ServeConfig Normalized(ServeConfig config) {
+  config.threads = std::max(config.threads, 1);
+  config.slice_cycles = std::max<uint64_t>(config.slice_cycles, 1);
+  return config;
+}
+
 }  // namespace
 
 std::string_view ServeStatusName(ServeStatus status) {
@@ -69,20 +75,9 @@ std::string Completion::ToString() const {
   return out;
 }
 
-Server::Server(ServeConfig config) : config_(config) {
-  if (config_.threads < 1) {
-    config_.threads = 1;
-  }
-  if (config_.slice_cycles == 0) {
-    config_.slice_cycles = 1;
-  }
-  for (int w = 0; w < config_.threads; ++w) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
-  for (size_t w = 0; w < workers_.size(); ++w) {
-    workers_[w]->thread = std::thread([this, w] { WorkerLoop(w); });
-  }
-}
+Server::Server(ServeConfig config)
+    : config_(Normalized(config)),
+      pool_(static_cast<size_t>(config_.threads), [this](size_t id) { return RunSlice(id); }) {}
 
 Server::~Server() { Shutdown(); }
 
@@ -117,7 +112,6 @@ uint64_t Server::Submit(Submission submission) {
   }
 
   Task* raw = task.get();
-  size_t worker = 0;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     raw->id = next_id_++;
@@ -133,20 +127,17 @@ uint64_t Server::Submit(Submission submission) {
                            static_cast<unsigned long long>(it->second.budget.max_memory_words));
       }
     }
-    if (!reject.empty()) {
-      raw->completion.status = ServeStatus::kRejected;
-      raw->completion.error = std::move(reject);
-      raw->completion.turnaround_ns = 0;
-      raw->done = true;
-      tasks_[raw->id] = std::move(task);
-      done_cv_.notify_all();
+    tasks_[raw->id] = std::move(task);
+    if (reject.empty()) {
+      // Pushed under mu_, so Shutdown's Close sees every accepted task.
+      pool_.Push(raw->id);
       return raw->id;
     }
-    ++queued_;
-    worker = static_cast<size_t>(raw->id) % workers_.size();
-    tasks_[raw->id] = std::move(task);
+    raw->completion.status = ServeStatus::kRejected;
+    raw->completion.error = std::move(reject);
+    raw->done = true;
   }
-  Enqueue(worker, raw);
+  done_cv_.notify_all();
   return raw->id;
 }
 
@@ -163,69 +154,8 @@ void Server::Shutdown() {
   {
     const std::lock_guard<std::mutex> lock(mu_);
     accepting_ = false;
-    stopping_ = true;
   }
-  work_cv_.notify_all();
-  for (const auto& worker : workers_) {
-    if (worker->thread.joinable()) {
-      worker->thread.join();
-    }
-  }
-}
-
-void Server::Enqueue(size_t worker, Task* task) {
-  {
-    const std::lock_guard<std::mutex> lock(workers_[worker]->mu);
-    workers_[worker]->queue.push_back(task);
-  }
-  work_cv_.notify_one();
-}
-
-Server::Task* Server::Dequeue(size_t worker) {
-  Worker& own = *workers_[worker];
-  {
-    const std::lock_guard<std::mutex> lock(own.mu);
-    if (!own.queue.empty()) {
-      Task* task = own.queue.back();
-      own.queue.pop_back();
-      return task;
-    }
-  }
-  // Steal from the front of a sibling's queue (the submission its owner
-  // would touch last), scanning from the next worker around the ring.
-  for (size_t k = 1; k < workers_.size(); ++k) {
-    Worker& victim = *workers_[(worker + k) % workers_.size()];
-    const std::lock_guard<std::mutex> lock(victim.mu);
-    if (!victim.queue.empty()) {
-      Task* task = victim.queue.front();
-      victim.queue.pop_front();
-      ++own.steals;
-      return task;
-    }
-  }
-  return nullptr;
-}
-
-void Server::WorkerLoop(size_t worker) {
-  while (true) {
-    Task* task = Dequeue(worker);
-    if (task == nullptr) {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (stopping_ && queued_ == 0) {
-        return;
-      }
-      // Bounded wait instead of a precise predicate: enqueues happen
-      // under per-worker locks, so a notify can slip past a worker
-      // between its failed Dequeue and this wait; the timeout caps that
-      // stall at one millisecond.
-      work_cv_.wait_for(lock, std::chrono::milliseconds(1));
-      continue;
-    }
-    const bool retired = RunSlice(task);
-    if (!retired) {
-      Enqueue(worker, task);
-    }
-  }
+  pool_.Close();
 }
 
 uint64_t Server::TenantRemaining(const std::string& tenant) {
@@ -319,30 +249,16 @@ bool Server::Materialize(Task* task) {
 
 void Server::Retire(Task* task, ServeStatus status, std::string error) {
   Completion& completion = task->completion;
-  completion.status = status;
-  completion.error = std::move(error);
-  if (task->machine != nullptr) {
-    const Machine& machine = *task->machine;
-    completion.fingerprint = FingerprintMachine(machine);
-    completion.cycles = machine.cpu().cycles();
-    completion.instructions = machine.cpu().counters().instructions;
-    completion.tty = machine.TtyOutput();
-    const ExitStatus exit_status = MachineExitStatus(machine);
-    completion.exit_code = exit_status.code;
-    if (!exit_status.failure.empty()) {
-      if (completion.status == ServeStatus::kCompleted) {
-        completion.status = ServeStatus::kFailed;
-      }
-      if (completion.error.empty()) {
-        completion.error = exit_status.failure;
-      }
-    }
-  } else if (completion.exit_code == 0) {
-    completion.exit_code = 111;
-  }
-  if (completion.status != ServeStatus::kCompleted && completion.exit_code == 0) {
-    completion.exit_code = 111;
-  }
+  RetiredMachine retired =
+      RetireMachine(task->machine.get(), status == ServeStatus::kCompleted, std::move(error));
+  completion.status =
+      status == ServeStatus::kCompleted && !retired.completed ? ServeStatus::kFailed : status;
+  completion.error = std::move(retired.failure);
+  completion.exit_code = retired.exit_code;
+  completion.fingerprint = retired.fingerprint;
+  completion.cycles = retired.cycles;
+  completion.instructions = retired.instructions;
+  completion.tty = std::move(retired.tty);
   completion.turnaround_ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - task->submitted_at)
           .count());
@@ -350,13 +266,16 @@ void Server::Retire(Task* task, ServeStatus status, std::string error) {
   {
     const std::lock_guard<std::mutex> lock(mu_);
     task->done = true;
-    --queued_;
   }
   done_cv_.notify_all();
-  work_cv_.notify_all();  // drain check: sleepers re-test the exit condition
 }
 
-bool Server::RunSlice(Task* task) {
+bool Server::RunSlice(uint64_t id) {
+  Task* task = nullptr;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    task = tasks_.at(id).get();
+  }
 #if defined(__cpp_exceptions)
   try {
 #endif

@@ -1,8 +1,8 @@
 // The multi-tenant serving core behind the `ringsimd` daemon: a
-// long-running work-stealing pool that turns workload submissions (kasm
-// source with a `;;` manifest, or a pre-assembled snapshot image, plus
-// optional tty input) into protected machines, runs them in slices, and
-// reports per-machine status + FNV-1a fingerprint.
+// long-running slice pool (src/fleet/slice_pool.h) that turns workload
+// submissions (kasm source with a `;;` manifest, or a pre-assembled
+// snapshot image, plus optional tty input) into protected machines, runs
+// them in slices, and reports per-machine status + FNV-1a fingerprint.
 //
 // Machines are spawned from golden images (src/fleet/golden_image.h): the
 // first submission of a distinct program pays boot+assemble+load once;
@@ -22,15 +22,14 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/fleet/golden_image.h"
+#include "src/fleet/slice_pool.h"
 #include "src/sys/machine.h"
 
 namespace rings {
@@ -143,25 +142,16 @@ class Server {
     Completion completion;
     bool done = false;
   };
-  struct Worker {
-    std::mutex mu;
-    std::deque<Task*> queue;
-    std::thread thread;
-    uint64_t steals = 0;
-  };
   struct Tenant {
     TenantBudget budget;
     uint64_t consumed_cycles = 0;
   };
 
-  void WorkerLoop(size_t worker);
-  Task* Dequeue(size_t worker);
-  void Enqueue(size_t worker, Task* task);
   // Builds the task's machine (golden clone or image restore). Returns
   // false with the completion already filled on failure.
   bool Materialize(Task* task);
-  // Runs one slice; true when the task retired.
-  bool RunSlice(Task* task);
+  // Runs one slice of submission `id`; true when it retired.
+  bool RunSlice(uint64_t id);
   void Retire(Task* task, ServeStatus status, std::string error);
   // Remaining simulated cycles the tenant may still burn.
   uint64_t TenantRemaining(const std::string& tenant);
@@ -172,17 +162,16 @@ class Server {
   // the server's lifetime: tenants come and go, the daemon persists.
   GoldenImageRegistry::Pin golden_pin_;
 
-  std::mutex mu_;  // tasks_, tenants_, next_id_, accepting_, queued_
-  std::condition_variable work_cv_;  // workers sleep here
+  std::mutex mu_;  // tasks_, tenants_, next_id_, accepting_
   std::condition_variable done_cv_;  // waiters sleep here
   std::map<uint64_t, std::unique_ptr<Task>> tasks_;
   std::map<std::string, Tenant> tenants_;
   uint64_t next_id_ = 1;
-  size_t queued_ = 0;  // tasks enqueued but not yet retired
   bool accepting_ = true;
-  bool stopping_ = false;
 
-  std::vector<std::unique_ptr<Worker>> workers_;
+  // Runs submissions by id. Last: its workers stop before the state
+  // above is destroyed.
+  SlicePool pool_;
 };
 
 }  // namespace rings

@@ -41,6 +41,7 @@ struct AuditFinding {
   Segno segno = 0;
   std::string message;
 
+  bool operator==(const AuditFinding&) const = default;
   std::string ToString() const;
 };
 

@@ -1,5 +1,7 @@
 #include "src/sys/machine.h"
 
+#include <algorithm>
+
 #include "src/base/log.h"
 #include "src/base/strings.h"
 #include "src/mem/page_table.h"
@@ -188,6 +190,12 @@ void Machine::RunAudit() {
   ++audit_runs_;
   std::vector<AuditFinding> findings = AuditProtectionState(&memory_, registry_, supervisor_);
   for (AuditFinding& finding : findings) {
+    // A finding stands until its cause is repaired, and every pass reports
+    // it again; the log keeps each distinct finding once.
+    if (std::find(audit_findings_.begin(), audit_findings_.end(), finding) !=
+        audit_findings_.end()) {
+      continue;
+    }
     if (finding.severity == AuditSeverity::kError) {
       RINGS_LOG(kError) << "audit: " << finding.ToString();
     }

@@ -102,7 +102,8 @@ class Machine {
   FaultInjector* fault_injector() { return fault_injector_.get(); }
   const FaultInjector* fault_injector() const { return fault_injector_.get(); }
 
-  // Per-quantum audit results (empty unless audit_every_quantum). The
+  // Distinct findings of the per-quantum audits, each recorded when a
+  // pass first reports it (empty unless audit_every_quantum). The
   // findings are this machine's own host-side log: snapshots and clones
   // carry audit_runs() but not the findings, so a restored or cloned
   // machine starts with none.

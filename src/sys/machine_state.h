@@ -104,6 +104,12 @@ void Visit(Io& io, SegmentAccess& access) {
   io.RingNo(access.brackets.r1, "bracket ring");
   io.RingNo(access.brackets.r2, "bracket ring");
   io.RingNo(access.brackets.r3, "bracket ring");
+  if constexpr (Io::kDecodes) {
+    if (!access.brackets.IsWellFormed()) {
+      io.Fail(StrFormat("bracket rings %u,%u,%u not ordered", access.brackets.r1,
+                        access.brackets.r2, access.brackets.r3));
+    }
+  }
   io.U32(access.gate_count);
 }
 

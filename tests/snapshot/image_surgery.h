@@ -89,6 +89,7 @@ inline std::vector<uint8_t> Join(const Parts& parts) {
 
 constexpr uint32_t kMetaSection = 1;
 constexpr uint32_t kMemorySection = 2;
+constexpr uint32_t kRegistrySection = 4;
 
 // `image` with its meta section declaring a `words`-word store.
 inline std::vector<uint8_t> WithMetaWords(const std::vector<uint8_t>& image, uint64_t words) {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -701,6 +702,31 @@ TEST(SnapshotImage, ImplausibleStoreSizeIsRejectedAtMeta) {
   EXPECT_FALSE(PeekSnapshotMeta(over_limit, &meta, &error));
 }
 
+// A well-formed image whose registry holds an ACL entry with brackets
+// (7,1,1) instead of the call loop's gate brackets (1,1,7): every CRC
+// accepts it, and restore refuses it with the section and the rings.
+TEST(SnapshotImage, UnorderedBracketsAreRejected) {
+  image_surgery::Parts parts = image_surgery::Split(MakeValidImage(MachineConfig{}));
+  std::vector<uint8_t>& registry = parts.payload(image_surgery::kRegistrySection);
+  // r1, r2, r3, then the u32 gate count of the `target` segment's ACL entry.
+  const std::vector<uint8_t> gate_access = {1, 1, 7, 1, 0, 0, 0};
+  const auto at = std::search(registry.begin(), registry.end(), gate_access.begin(),
+                              gate_access.end());
+  ASSERT_NE(at, registry.end());
+  at[0] = 7;
+  at[2] = 1;
+  const std::vector<uint8_t> image = image_surgery::Join(parts);
+  std::string error;
+  ASSERT_TRUE(VerifySnapshot(image, &error)) << error;
+
+  Machine target(MachineConfig{});
+  const uint64_t untouched = FingerprintMachine(target);
+  EXPECT_FALSE(RestoreSnapshot(image, &target, &error));
+  EXPECT_NE(error.find("section 4: bracket rings 7,1,1 not ordered"), std::string::npos)
+      << error;
+  EXPECT_EQ(FingerprintMachine(target), untouched);
+}
+
 TEST(SnapshotImage, RestoreConfigTakesShapeFromImageAndEngineFromCaller) {
   SnapshotMeta meta;
   meta.memory_words = uint64_t{1} << 20;
@@ -863,8 +889,8 @@ TEST(Snapshot, CloneAndRestoreAgreeOnTheAuditLog) {
   config.audit_every_quantum = true;
   std::unique_ptr<Machine> live = MakeCallLoopMachine(config);
   ASSERT_NE(live, nullptr);
-  // A malformed descriptor in the process's virtual memory, which the
-  // auditor reports at every quantum.
+  // A malformed descriptor in the process's virtual memory, which every
+  // audit pass finds again and the log records once.
   const Process& process = *live->supervisor().processes().front();
   Sdw malformed;
   malformed.present = true;

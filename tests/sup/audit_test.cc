@@ -193,6 +193,44 @@ TEST(Audit, RegistryAclValidation) {
   EXPECT_FALSE(AuditClean(Audit(machine)));
 }
 
+// A malformed descriptor stays malformed, so every per-quantum pass finds
+// it again; the machine's log records it once and still counts each pass.
+TEST(Audit, PersistentFindingIsRecordedOnce) {
+  Machine machine(MachineConfig{.quantum = 50, .audit_every_quantum = true});
+  std::map<std::string, AccessControlList> acls;
+  acls["main"] = AccessControlList::Public(MakeProcedureSegment(4, 4));
+  acls["counter"] = AccessControlList::Public(MakeDataSegment(4, 4));
+  ASSERT_TRUE(machine.LoadProgramSource(R"(
+        .segment main
+start:  aos   cnt,*
+        lda   cnt,*
+        sba   limit
+        tmi   start
+        mme   0
+limit:  .word 200
+cnt:    .its  4, counter, 0
+
+        .segment counter
+        .word 0
+)",
+                                        acls));
+  Process* p = machine.Login("alice");
+  machine.supervisor().InitiateAll(p);
+  ASSERT_TRUE(machine.Start(p, "main", "start", kUserRing));
+  Sdw malformed;
+  malformed.present = true;
+  malformed.bound = 4;
+  malformed.access.flags = {true, false, false};
+  malformed.access.brackets = Brackets{5, 2, 1};
+  DescriptorSegment(&machine.memory(), p->dbr).Store(100, malformed);
+
+  ASSERT_TRUE(machine.Run().idle);
+  EXPECT_GE(machine.audit_runs(), 10u);
+  ASSERT_EQ(machine.audit_findings().size(), 1u);
+  EXPECT_EQ(machine.audit_findings()[0].pid, p->pid);
+  EXPECT_EQ(machine.audit_findings()[0].segno, 100u);
+}
+
 TEST(Audit, FindingToString) {
   const AuditFinding f{AuditSeverity::kError, 3, 17, "boom"};
   const std::string text = f.ToString();

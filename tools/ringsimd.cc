@@ -41,6 +41,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <list>
 #include <string>
 #include <thread>
 #include <vector>
@@ -288,21 +289,39 @@ int RunDaemon(const std::string& socket_path, const ServeConfig& config) {
               server.config().threads);
   std::fflush(stdout);
 
-  std::vector<std::thread> connections;
+  // One thread per connection. Each accept first joins the handlers that
+  // have finished, so a long-running daemon holds only live connections'
+  // threads (and their stacks).
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+  std::list<Connection> connections;
   while (!g_stop.load()) {
     const int fd = accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       break;  // listening socket closed by a signal or `shutdown`
     }
-    connections.emplace_back([&server, fd] { ServeConnection(&server, fd); });
+    connections.remove_if([](Connection& c) {
+      if (!c.done.load()) {
+        return false;
+      }
+      c.thread.join();
+      return true;
+    });
+    Connection& connection = connections.emplace_back();
+    connection.thread = std::thread([&server, &connection, fd] {
+      ServeConnection(&server, fd);
+      connection.done.store(true);
+    });
   }
   g_listen_fd.store(-1);
   close(listen_fd);
   // Drain: refuse new work, finish everything queued, then join the
   // connection threads (their pending Waits complete during Shutdown).
   server.Shutdown();
-  for (std::thread& t : connections) {
-    t.join();
+  for (Connection& c : connections) {
+    c.thread.join();
   }
   unlink(socket_path.c_str());
   std::printf("ringsimd: shut down cleanly\n");

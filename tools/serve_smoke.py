@@ -6,7 +6,9 @@ workloads (every ``.asm`` guest in ``--examples``, round-robin, over
 several concurrent connections), and checks that each served fingerprint
 is bit-identical to a standalone ``ringsim --fleet=1`` run of the same
 guest — the serving path (golden-image clone, work stealing, slicing)
-must be invisible to the simulated machine. Finishes with a clean
+must be invisible to the simulated machine. Then opens 200 short ``ping``
+connections in a row and asserts the daemon's VmSize grew by less than
+256 MiB, so finished connection threads are reaped. Finishes with a clean
 ``shutdown`` and asserts the daemon exits 0 and removes its socket.
 
 Prints ``serve smoke: OK`` on success; any mismatch or protocol error is
@@ -22,6 +24,19 @@ import sys
 import tempfile
 import threading
 import time
+
+
+PING_CONNECTIONS = 200
+PING_VM_GROWTH_LIMIT_MIB = 256
+
+
+def vm_size_kib(pid):
+    """The process's virtual memory size, from /proc/<pid>/status."""
+    with open("/proc/%d/status" % pid) as status:
+        for line in status:
+            if line.startswith("VmSize:"):
+                return int(line.split()[1])
+    raise RuntimeError("no VmSize for pid %d" % pid)
 
 
 def read_line(sock_file):
@@ -137,6 +152,24 @@ def main():
             t.start()
         for t in clients:
             t.join()
+
+        # A long-running daemon must not keep finished connection threads:
+        # many short connections in a row may not grow its address space
+        # by a thread stack (8 MiB by default) each.
+        vm_before = vm_size_kib(daemon.pid)
+        for _ in range(PING_CONNECTIONS):
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            sock.connect(sock_path)
+            sock_file = sock.makefile("rb")
+            sock.sendall(b"ping\n")
+            expect(sock_file, "pong")
+            sock.close()
+        vm_growth_mib = (vm_size_kib(daemon.pid) - vm_before) / 1024
+        if vm_growth_mib >= PING_VM_GROWTH_LIMIT_MIB:
+            raise RuntimeError(
+                "daemon VmSize grew %.0f MiB over %d short connections"
+                % (vm_growth_mib, PING_CONNECTIONS)
+            )
 
         # Clean shutdown over the protocol.
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
