@@ -93,15 +93,14 @@ const PerCallCost& SimCost() {
 // Host-time throughput of simulated downward call round trips. Machine
 // construction, assembly, and login stay outside the timed region: the
 // measurement is machine.Run() alone, so the variants isolate what the
-// address-formation fast path (with the crossing cache) and the
-// superblock engine (with block chaining) buy in host wall-clock
-// (simulated cost is identical across all of them).
-void DownwardCallRoundTrip(benchmark::State& state, bool fast_path, bool block_engine) {
+// block engine (with block chaining and the crossing cache) buys over the
+// reference interpreter in host wall-clock (simulated cost is identical
+// across both).
+void DownwardCallRoundTrip(benchmark::State& state, bool fast_path) {
   const std::string source = CrossingLoopSource(kCrossingsPerRun);
   const SegmentAccess target = MakeProcedureSegment(1, 1, 7, 1);
   MachineConfig config;
   config.fast_path = fast_path;
-  config.block_engine = block_engine && BlockEngineEnvEnabled();
   WallSampler wall;
   Counters last;
   for (auto _ : state) {
@@ -136,18 +135,12 @@ void DownwardCallRoundTrip(benchmark::State& state, bool fast_path, bool block_e
   state.counters["crossing_hits"] = static_cast<double>(last.crossing_hits);
 }
 
-void BM_DownwardCallRoundTrip(benchmark::State& state) {
-  DownwardCallRoundTrip(state, true, true);
-}
+void BM_DownwardCallRoundTrip(benchmark::State& state) { DownwardCallRoundTrip(state, true); }
 void BM_DownwardCallRoundTrip_NoFastPath(benchmark::State& state) {
-  DownwardCallRoundTrip(state, false, false);
-}
-void BM_DownwardCallRoundTrip_NoBlockEngine(benchmark::State& state) {
-  DownwardCallRoundTrip(state, true, false);
+  DownwardCallRoundTrip(state, false);
 }
 BENCHMARK(BM_DownwardCallRoundTrip)->Iterations(20)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DownwardCallRoundTrip_NoFastPath)->Iterations(20)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_DownwardCallRoundTrip_NoBlockEngine)->Iterations(20)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace rings

@@ -194,11 +194,9 @@ struct SearchRig {
 };
 
 SearchRig SetupSearchHardware(const std::string& source, const char* svc_seg, int n,
-                              bool paged = false, bool fast_path = true,
-                              bool block_engine = true) {
+                              bool paged = false, bool fast_path = true) {
   MachineConfig config;
   config.fast_path = fast_path;
-  config.block_engine = block_engine && BlockEngineEnvEnabled();
   SearchRig rig;
   rig.machine = std::make_unique<Machine>(config);
   Machine& machine = *rig.machine;
@@ -242,9 +240,8 @@ SearchCost FinishSearch(SearchRig& rig) {
 }
 
 SearchCost RunSearchHardware(const std::string& source, const char* svc_seg, int n,
-                             bool paged = false, bool fast_path = true,
-                             bool block_engine = true) {
-  SearchRig rig = SetupSearchHardware(source, svc_seg, n, paged, fast_path, block_engine);
+                             bool paged = false, bool fast_path = true) {
+  SearchRig rig = SetupSearchHardware(source, svc_seg, n, paged, fast_path);
   return FinishSearch(rig);
 }
 
@@ -312,15 +309,13 @@ void PrintReport() {
 // probe), machine.Run() only; the paged variants put the directory
 // behind a page table, so they additionally measure the software TLB.
 // The sim_* counters are deterministic and gated by tools/bench_check.py.
-void LibrarySearchLoop(benchmark::State& state, bool paged, bool fast_path,
-                       bool block_engine) {
+void LibrarySearchLoop(benchmark::State& state, bool paged, bool fast_path) {
   constexpr int kEntries = 64;
   const std::string source = LibrarySource(kEntries);
   WallSampler wall;
   for (auto _ : state) {
     state.PauseTiming();
-    SearchRig rig =
-        SetupSearchHardware(source, "rdsvc", kEntries, paged, fast_path, block_engine);
+    SearchRig rig = SetupSearchHardware(source, "rdsvc", kEntries, paged, fast_path);
     state.ResumeTiming();
     wall.Begin();
     rig.machine->Run(1'000'000'000);
@@ -335,8 +330,7 @@ void LibrarySearchLoop(benchmark::State& state, bool paged, bool fast_path,
     rig.machine.reset();  // destruction stays untimed too
     state.ResumeTiming();
   }
-  const SearchCost sim =
-      RunSearchHardware(source, "rdsvc", kEntries, paged, fast_path, block_engine);
+  const SearchCost sim = RunSearchHardware(source, "rdsvc", kEntries, paged, fast_path);
   state.counters["sim_cycles"] = static_cast<double>(sim.cycles);
   state.counters["sim_crossings"] = static_cast<double>(sim.crossings);
   state.counters["sim_traps"] = static_cast<double>(sim.traps);
@@ -344,26 +338,16 @@ void LibrarySearchLoop(benchmark::State& state, bool paged, bool fast_path,
   state.counters["wall_median_ns"] = wall.MedianNs();
 }
 
-void BM_LibrarySearchHw(benchmark::State& state) {
-  LibrarySearchLoop(state, false, true, true);
-}
-void BM_LibrarySearchHw_NoBlockEngine(benchmark::State& state) {
-  LibrarySearchLoop(state, false, true, false);
-}
+void BM_LibrarySearchHw(benchmark::State& state) { LibrarySearchLoop(state, false, true); }
 void BM_LibrarySearchHwPagedDir(benchmark::State& state) {
-  LibrarySearchLoop(state, true, true, true);
+  LibrarySearchLoop(state, true, true);
 }
 void BM_LibrarySearchHwPagedDir_NoFastPath(benchmark::State& state) {
-  LibrarySearchLoop(state, true, false, false);
-}
-void BM_LibrarySearchHwPagedDir_NoBlockEngine(benchmark::State& state) {
-  LibrarySearchLoop(state, true, true, false);
+  LibrarySearchLoop(state, true, false);
 }
 BENCHMARK(BM_LibrarySearchHw)->Iterations(5);
-BENCHMARK(BM_LibrarySearchHw_NoBlockEngine)->Iterations(5);
 BENCHMARK(BM_LibrarySearchHwPagedDir)->Iterations(5);
 BENCHMARK(BM_LibrarySearchHwPagedDir_NoFastPath)->Iterations(5);
-BENCHMARK(BM_LibrarySearchHwPagedDir_NoBlockEngine)->Iterations(5);
 
 }  // namespace
 }  // namespace rings

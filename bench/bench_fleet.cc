@@ -25,7 +25,6 @@ namespace {
 MachineConfig FleetMachineConfig() {
   MachineConfig config;
   config.memory_words = size_t{1} << 18;
-  config.block_engine = BlockEngineEnvEnabled();
   return config;
 }
 

@@ -25,10 +25,9 @@ struct SumRig {
   Process* process = nullptr;
 };
 
-SumRig SetupSum(bool paged, bool populate, bool fast_path, bool block_engine = true) {
+SumRig SetupSum(bool paged, bool populate, bool fast_path) {
   MachineConfig config;
   config.fast_path = fast_path;
-  config.block_engine = block_engine && BlockEngineEnvEnabled();
   SumRig rig;
   rig.machine = std::make_unique<Machine>(config);
   Machine& machine = *rig.machine;
@@ -83,8 +82,8 @@ RunCost FinishSum(SumRig& rig) {
   return RunCost{rig.machine->cpu().cycles(), rig.machine->cpu().counters()};
 }
 
-RunCost RunSum(bool paged, bool populate, bool fast_path = true, bool block_engine = true) {
-  SumRig rig = SetupSum(paged, populate, fast_path, block_engine);
+RunCost RunSum(bool paged, bool populate, bool fast_path = true) {
+  SumRig rig = SetupSum(paged, populate, fast_path);
   return FinishSum(rig);
 }
 
@@ -132,12 +131,11 @@ void PrintReport() {
 // counters come from one extra deterministic run of the same
 // configuration; tools/bench_check.py gates CI on them (and on the
 // invariant that sim_cycles does not depend on the fast path).
-void SumLoop(benchmark::State& state, bool paged, bool populate, bool fast_path,
-             bool block_engine) {
+void SumLoop(benchmark::State& state, bool paged, bool populate, bool fast_path) {
   WallSampler wall;
   for (auto _ : state) {
     state.PauseTiming();
-    SumRig rig = SetupSum(paged, populate, fast_path, block_engine);
+    SumRig rig = SetupSum(paged, populate, fast_path);
     state.ResumeTiming();
     wall.Begin();
     rig.machine->Run(1'000'000'000);
@@ -152,7 +150,7 @@ void SumLoop(benchmark::State& state, bool paged, bool populate, bool fast_path,
     rig.machine.reset();  // destruction stays untimed too
     state.ResumeTiming();
   }
-  const RunCost sim = RunSum(paged, populate, fast_path, block_engine);
+  const RunCost sim = RunSum(paged, populate, fast_path);
   state.counters["sim_cycles"] = static_cast<double>(sim.cycles);
   state.counters["sim_page_walks"] = static_cast<double>(sim.counters.page_walks);
   state.counters["sim_checks"] = static_cast<double>(sim.counters.TotalChecks());
@@ -162,27 +160,15 @@ void SumLoop(benchmark::State& state, bool paged, bool populate, bool fast_path,
   state.counters["wall_median_ns"] = wall.MedianNs();
 }
 
-void BM_SumUnpaged(benchmark::State& state) { SumLoop(state, false, true, true, true); }
-void BM_SumUnpaged_NoFastPath(benchmark::State& state) {
-  SumLoop(state, false, true, false, false);
-}
-void BM_SumUnpaged_NoBlockEngine(benchmark::State& state) {
-  SumLoop(state, false, true, true, false);
-}
-void BM_SumPaged(benchmark::State& state) { SumLoop(state, true, true, true, true); }
-void BM_SumPaged_NoFastPath(benchmark::State& state) {
-  SumLoop(state, true, true, false, false);
-}
-void BM_SumPaged_NoBlockEngine(benchmark::State& state) {
-  SumLoop(state, true, true, true, false);
-}
-void BM_SumDemandZero(benchmark::State& state) { SumLoop(state, true, false, true, true); }
+void BM_SumUnpaged(benchmark::State& state) { SumLoop(state, false, true, true); }
+void BM_SumUnpaged_NoFastPath(benchmark::State& state) { SumLoop(state, false, true, false); }
+void BM_SumPaged(benchmark::State& state) { SumLoop(state, true, true, true); }
+void BM_SumPaged_NoFastPath(benchmark::State& state) { SumLoop(state, true, true, false); }
+void BM_SumDemandZero(benchmark::State& state) { SumLoop(state, true, false, true); }
 BENCHMARK(BM_SumUnpaged)->Iterations(20)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_SumUnpaged_NoFastPath)->Iterations(20)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_SumUnpaged_NoBlockEngine)->Iterations(20)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_SumPaged)->Iterations(20)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_SumPaged_NoFastPath)->Iterations(20)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_SumPaged_NoBlockEngine)->Iterations(20)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_SumDemandZero)->Iterations(20)->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -98,10 +98,6 @@ ServeConfig BenchServeConfig(int threads) {
   ServeConfig config;
   config.threads = threads;
   config.machine_memory_words = size_t{1} << 18;
-  // CI ablation hook: the bench gate runs the suite again with the block
-  // engine forced off, and both passes must report the same sim_*
-  // counters and fingerprint fold.
-  config.block_engine = BlockEngineEnvEnabled();
   return config;
 }
 

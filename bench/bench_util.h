@@ -62,15 +62,6 @@ class WallSampler {
   std::vector<double> samples_ns_;
 };
 
-// CI ablation hook: RINGS_BLOCK_ENGINE=0 forces the superblock engine off
-// for every benchmark in the process, so the whole suite can be run twice
-// (engine on and off) without a second set of binaries. Variant-specific
-// flags AND with this.
-inline bool BlockEngineEnvEnabled() {
-  const char* v = std::getenv("RINGS_BLOCK_ENGINE");
-  return v == nullptr || std::string(v) != "0";
-}
-
 struct PerCallCost {
   double cycles = 0;
   double instructions = 0;

@@ -23,7 +23,6 @@ B645Machine::B645Machine(MachineConfig config)
       registry_(&memory_) {
   cpu_.set_mode(ProtectionMode::kFlags645);
   cpu_.set_fast_path_enabled(config.fast_path);
-  cpu_.set_block_engine_enabled(config.block_engine);
   ok_ = true;
 }
 

@@ -4,14 +4,9 @@ namespace rings {
 
 size_t BlockCache::InvalidateSegment(Segno segno) {
   size_t dropped = 0;
-  if (blocks_ == nullptr) {
-    ++version_;
-    return 0;
-  }
-  for (size_t i = 0; i < kEntries; ++i) {
-    Block& b = blocks_[i];
-    if (b.gen == gen_ && b.segno == segno) {
-      b.gen = 0;
+  for (const std::unique_ptr<Block>& b : slots_) {
+    if (b != nullptr && b->gen == gen_ && b->segno == segno) {
+      b->gen = 0;
       ++dropped;
     }
   }

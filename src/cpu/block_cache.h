@@ -1,32 +1,28 @@
-// Superblock cache: the host-side memo of straight-line decoded runs. The
-// PR-3 fast path made each simulated instruction cheap; this cache makes
-// the *dispatch between* instructions cheap by chaining already-decoded
-// InsnCache entries into blocks that a single Cpu::StepBlock call executes
-// straight through, paying the fetch-probe and address revalidation once
-// per block instead of once per instruction.
+// Superblock cache: the host-side memo of straight-line decoded runs, and
+// the heart of the block engine. It chains already-decoded InsnCache
+// entries into blocks that a single Cpu::StepBlock call executes straight
+// through, paying the fetch, decode and address revalidation once per
+// block instead of once per instruction.
 //
 // A block is a host artifact with no architectural footprint: every op
-// charges exactly the cycles and counters of the per-instruction path
-// taken with a verdict hit, the per-instruction boundary work (timer,
-// fault-injection hooks, trap capture state) runs before every op, and
-// any event that could make the recorded run diverge from what the
-// per-instruction path would do bails the remaining ops back to that
-// path. Correctness rests on the dispatch-time validation (the block's
-// segment has a current verdict with matching base/paging/ring/bound) and
-// on a monotonically increasing `version` that every invalidation bumps:
-// the inner loop re-reads it before each op, so a mid-block SDW eviction,
-// fault-injected cache drop, or store into code retires the rest of the
-// block. Paged blocks additionally revalidate each op's fetch address
-// through the live TLB, so a moved or snooped translation can never
-// replay a stale decode.
+// charges exactly what the reference interpreter's fetch charges with an
+// SDW-cache hit, the per-instruction boundary work (timer, fault-injection
+// hooks, trap capture state) runs before every op, and any event that
+// could make the recorded run diverge from what the per-instruction path
+// would do bails the remaining ops back to that path. Correctness rests
+// on the dispatch-time validation (the block's segment has a current
+// verdict with matching base/paging/ring/bound) and on a monotonically
+// increasing `version` that every invalidation bumps: the inner loop
+// re-reads it before each op, so a mid-block SDW eviction, fault-injected
+// cache drop, or store into code retires the rest of the block. Paged
+// blocks additionally revalidate each op's fetch address through the live
+// TLB, so a moved or snooped translation can never replay a stale decode.
 #ifndef SRC_CPU_BLOCK_CACHE_H_
 #define SRC_CPU_BLOCK_CACHE_H_
 
 #include <array>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <type_traits>
 
 #include "src/core/ring.h"
 #include "src/isa/instruction.h"
@@ -38,8 +34,6 @@ class BlockCache {
  public:
   static constexpr size_t kEntries = 256;  // direct-mapped by (segno, start)
   static constexpr size_t kMaxOps = 32;
-  // Sentinel for Block::link_slot: no successor patched in.
-  static constexpr uint16_t kNoLink = 0xFFFF;
 
   struct Op {
     Instruction ins{};
@@ -57,14 +51,15 @@ class BlockCache {
     bool checks = false;  // checks_enabled() at build time
     bool paged = false;   // the verdict's paging shape at build time
     AbsAddr base = 0;     // the verdict's base (page-table base if paged)
-    // Direct chaining (see DESIGN.md §7): the slot of the successor block
-    // this one last transferred into, stamped with the cache version at
-    // patch time. A link is only followed when link_version equals the
-    // current version — every invalidation site bumps the version (or the
+    // Direct chaining (see DESIGN.md §7): the successor block this one
+    // last transferred into, stamped with the cache version at patch
+    // time. A link is only followed when link_version equals the current
+    // version — every invalidation site bumps the version (or the
     // generation, which retires the target outright), so a stale link can
     // never be followed; it is simply dead until repatched. The builder
-    // resets the link when a slot is repurposed.
-    uint16_t link_slot = kNoLink;
+    // resets the link when a slot is repurposed. Blocks never move or die
+    // before their cache does, so the pointer stays dereferenceable.
+    Block* link = nullptr;
     uint64_t link_version = 0;
     // Whether the terminator op may chain into a successor at all
     // (Cpu::ChainEligible, precomputed at build time so the chain point
@@ -79,47 +74,25 @@ class BlockCache {
     std::array<Op, kMaxOps> ops{};
   };
 
-  const Block* Lookup(Segno segno, Wordno start) const {
-    if (blocks_ == nullptr) {
-      return nullptr;
-    }
-    const Block& b = blocks_[Index(segno, start)];
-    if (b.gen == gen_ && b.segno == segno && b.start == start) {
-      return &b;
-    }
-    return nullptr;
-  }
-
-  // Mutable lookup for the chaining engine (links are patched into live
-  // blocks); same validity test as Lookup.
-  Block* LookupMutable(Segno segno, Wordno start) {
-    if (blocks_ == nullptr) {
-      return nullptr;
-    }
-    Block& b = blocks_[Index(segno, start)];
-    if (b.gen == gen_ && b.segno == segno && b.start == start) {
-      return &b;
+  // The published block starting at (segno, start), if any. Mutable: the
+  // chaining engine patches successor links into live blocks.
+  Block* Lookup(Segno segno, Wordno start) {
+    Block* b = slots_[Index(segno, start)].get();
+    if (b != nullptr && b->gen == gen_ && b->segno == segno && b->start == start) {
+      return b;
     }
     return nullptr;
-  }
-
-  // Link-follow accessors: a patched link names a slot, not a pointer, so
-  // the follower re-reads the slot and revalidates what it holds now.
-  // Links are only ever patched into built blocks, so a followed link
-  // implies the backing store exists.
-  Block* BlockAt(uint16_t slot) { return &blocks_[slot % kEntries]; }
-  uint16_t SlotIndexOf(const Block* block) const {
-    return static_cast<uint16_t>(block - blocks_.get());
   }
 
   // The slot a block starting at (segno, start) builds into; the builder
   // fills it in place and stamps `gen` with generation() to publish it.
-  // First build allocates the backing store (see blocks_ below).
+  // A slot's block is allocated on its first build (see slots_ below).
   Block* SlotFor(Segno segno, Wordno start) {
-    if (blocks_ == nullptr) {
-      blocks_.reset(static_cast<Block*>(std::calloc(kEntries, sizeof(Block))));
+    std::unique_ptr<Block>& slot = slots_[Index(segno, start)];
+    if (slot == nullptr) {
+      slot = std::make_unique<Block>();
     }
-    return &blocks_[Index(segno, start)];
+    return slot.get();
   }
 
   // Retires every block built from `segno` (its SDW was edited, dropped,
@@ -129,7 +102,7 @@ class BlockCache {
 
   // O(1) whole-cache invalidation (generation bump); wired to every event
   // that retires the verdict regime wholesale (DBR reloads, SDW-cache
-  // flushes, behind-the-back stores, engine/fast-path toggles).
+  // flushes, behind-the-back stores, engine toggles).
   void Flush() {
     ++gen_;
     ++version_;
@@ -147,22 +120,14 @@ class BlockCache {
     return (start ^ (static_cast<uint32_t>(segno) * 0x9E3779B1u)) & (kEntries - 1);
   }
 
-  uint64_t gen_ = 1;  // blocks zero-initialize to gen 0 == invalid
+  uint64_t gen_ = 1;  // fresh blocks have gen 0 == invalid
   uint64_t version_ = 0;
-  // The backing store is calloc'd on first build, not an inline array:
-  // 256 blocks of 32 decoded ops each are ~270 KiB, and paying for that
-  // at construction (whether as inline zero-fill or as an eager mmap-class
-  // allocation) dominated Machine construction — which a fleet daemon pays
-  // per spawned clone. A null store reads as an empty cache; the first
-  // SlotFor call allocates, and calloc's zero bytes are a valid empty
-  // state because gen 0 == invalid. Block is an implicit-lifetime
-  // aggregate, so the calloc'd array is usable without placement-new.
-  static_assert(std::is_trivially_destructible_v<Block>);
-  static_assert(std::is_trivially_copyable_v<Block>);
-  struct FreeDeleter {
-    void operator()(Block* p) const { std::free(p); }
-  };
-  std::unique_ptr<Block[], FreeDeleter> blocks_;
+  // One pointer per slot, each block allocated on its slot's first build:
+  // 256 blocks of 32 decoded ops each are ~270 KiB, and a fresh or cloned
+  // machine (which a fleet or the serving daemon spawns per job) should
+  // pay only for the blocks its run builds, not for the whole store. A
+  // null slot reads as empty.
+  std::array<std::unique_ptr<Block>, kEntries> slots_{};
 };
 
 }  // namespace rings

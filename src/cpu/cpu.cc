@@ -426,17 +426,17 @@ bool Cpu::StepBody() {
 }
 
 // ---------------------------------------------------------------------------
-// Superblock engine
+// Block engine
 // ---------------------------------------------------------------------------
 //
 // StepBlock is the run loops' entry point: it executes a whole decoded
 // straight-line block per dispatch instead of re-entering Step per
 // instruction. Each op runs the same instruction boundary (timer, fault
 // hooks, trap-capture state) and charges exactly what the per-instruction
-// path charges on a verdict + decode hit, which — by the verdict cache's
-// invariant — is exactly what the slow path charges with an SDW-cache
-// hit. Anything a block cannot vouch for bails to StepBody, the identical
-// per-instruction path, after the boundary it already consumed.
+// fetch charges with an SDW-cache hit, which — by the verdict cache's
+// invariant — is what it would charge here. Anything a block cannot vouch
+// for bails to StepBody, the reference interpreter's per-instruction
+// path, after the boundary it already consumed.
 
 bool Cpu::StepBlock(uint64_t cycle_bound) {
   if (trap_pending_) {
@@ -445,7 +445,7 @@ bool Cpu::StepBlock(uint64_t cycle_bound) {
   if (!InstructionBoundary()) {
     return false;
   }
-  if (!block_engine_enabled_ || !fast_path_enabled_ || !sdw_cache_.enabled()) {
+  if (!fast_path_enabled_ || !sdw_cache_.enabled()) {
     return StepBody();
   }
   BlockCache::Block* b = ProbeOrBuildBlock();
@@ -498,11 +498,10 @@ bool Cpu::StepBlock(uint64_t cycle_bound) {
           return StepBody();
         }
       }
-      // The fetch charges of the per-instruction fast path (identical to
-      // the slow path taken with an SDW-cache hit). The cycle portion is
-      // the block's precomputed per-op charge — one add for the
-      // instruction base, the fetch check, the page walk, and the fetch
-      // read together.
+      // The fetch charges of the per-instruction path taken with an
+      // SDW-cache hit. The cycle portion is the block's precomputed per-op
+      // charge — one add for the instruction base, the fetch check, the
+      // page walk, and the fetch read together.
       cycles_ += b->op_charge;
       ++counters_.instructions;
       ++counters_.block_ops;
@@ -553,15 +552,15 @@ bool Cpu::StepBlock(uint64_t cycle_bound) {
     }
     const uint64_t now = block_cache_.version();
     BlockCache::Block* next = nullptr;
-    if (b->link_slot != BlockCache::kNoLink && b->link_version == now) {
-      // The stamp proves the linked slot held a block valid under the
-      // current version when the link was patched, and that no
-      // invalidation has landed since — so base/paging/bound revalidation
-      // (BlockCurrent) is already implied. The key compare handles
-      // everything the version does not pin: slot repurposing for a
-      // different start, a conditional transfer going the other way this
-      // time, and ring or checks regime changes.
-      BlockCache::Block* cand = block_cache_.BlockAt(b->link_slot);
+    if (b->link != nullptr && b->link_version == now) {
+      // The stamp proves the linked block was valid under the current
+      // version when the link was patched, and that no invalidation has
+      // landed since — so base/paging/bound revalidation (BlockCurrent) is
+      // already implied. The key compare handles everything the version
+      // does not pin: slot repurposing for a different start, a
+      // conditional transfer going the other way this time, and ring or
+      // checks regime changes.
+      BlockCache::Block* cand = b->link;
       if (cand->gen == block_cache_.generation() && cand->segno == regs_.ipr.segno &&
           cand->start == regs_.ipr.wordno && cand->ring == regs_.ipr.ring &&
           cand->checks == checks_enabled_) {
@@ -582,7 +581,7 @@ bool Cpu::StepBlock(uint64_t cycle_bound) {
       // Patch (or repatch — a conditional site flips between targets) the
       // successor link, stamped with the version the target was just
       // validated under.
-      b->link_slot = block_cache_.SlotIndexOf(next);
+      b->link = next;
       b->link_version = now;
       ++counters_.chain_links;
     }
@@ -607,7 +606,7 @@ BlockCache::Block* Cpu::TryBuildBlock(const VerdictCache::Entry& v) {
   b->gen = 0;  // unpublish whatever the slot held while we fill it
   // The slot's old occupant may have carried a successor link; the new
   // block has not resolved one yet.
-  b->link_slot = BlockCache::kNoLink;
+  b->link = nullptr;
   b->link_version = 0;
   uint16_t count = 0;
   while (count < BlockCache::kMaxOps) {
@@ -698,7 +697,7 @@ BlockCache::Block* Cpu::ProbeOrBuildBlock() {
   if (v == nullptr || (checks_enabled_ && !v->execute_ok)) {
     return nullptr;
   }
-  BlockCache::Block* b = block_cache_.LookupMutable(regs_.ipr.segno, regs_.ipr.wordno);
+  BlockCache::Block* b = block_cache_.Lookup(regs_.ipr.segno, regs_.ipr.wordno);
   if (b != nullptr && BlockCurrent(*b, *v)) {
     ++counters_.block_hits;
     return b;
@@ -735,55 +734,6 @@ bool Cpu::ChainEligible(Opcode op) {
 bool Cpu::FetchInstruction(Instruction* ins) {
   const Ring ring = EffectiveRing(regs_.ipr.ring);
 
-  // Fast path: a current verdict proves the SDW cache holds this segment
-  // unchanged and that execution is permitted; a cached decode whose fill
-  // address matches the address the slow path would compute proves the
-  // word is the same one the slow path would fetch. For unpaged segments
-  // that address is verdict base + wordno; for paged segments the TLB
-  // supplies the frame (keyed on the verdict's base as the table base),
-  // and the architectural walk is charged exactly as the slow path
-  // charges it. Charge what the slow path charges on an SDW-cache hit
-  // and skip the re-fetch and re-decode.
-  if (const VerdictCache::Entry* v = FastVerdict(regs_.ipr.segno, ring);
-      v != nullptr && (!checks_enabled_ || v->execute_ok) && regs_.ipr.wordno < v->bound) {
-    AbsAddr expected = 0;
-    bool have_addr = false;
-    bool paged_hit = false;
-    if (!v->paged) {
-      expected = v->base + regs_.ipr.wordno;
-      have_addr = true;
-    } else if (TlbEnabled()) {
-      if (const Tlb::Entry* t =
-              tlb_.Lookup(regs_.ipr.segno, regs_.ipr.wordno >> kPageShift, v->base)) {
-        expected = t->frame + (regs_.ipr.wordno & kPageMask);
-        have_addr = true;
-        paged_hit = true;
-      }
-    }
-    const InsnCache::Entry* cached =
-        have_addr ? insn_cache_.Lookup(regs_.ipr.segno, regs_.ipr.wordno) : nullptr;
-    if (cached != nullptr && cached->addr == expected) {
-      ++counters_.verdict_hits;
-      ++counters_.insn_cache_hits;
-      ++counters_.sdw_cache_hits;
-      sdw_cache_.CountHit();
-      if (checks_enabled_) {
-        ++counters_.checks_fetch;
-        cycles_ += cycle_model_.access_check;
-      }
-      if (paged_hit) {
-        // The page-table walk the slow path would have performed.
-        ++counters_.page_walks;
-        cycles_ += cycle_model_.memory_ref;
-        ++counters_.tlb_hits;
-      }
-      ++counters_.memory_reads;
-      cycles_ += cycle_model_.memory_ref;
-      *ins = cached->ins;
-      return true;
-    }
-  }
-
   Sdw sdw;
   if (!FetchSdw(regs_.ipr.segno, &sdw)) {
     return false;
@@ -806,33 +756,14 @@ bool Cpu::FetchInstruction(Instruction* ins) {
   }
   ++counters_.memory_reads;
   cycles_ += cycle_model_.memory_ref;
-  const Word word = memory_->Read(addr);
-  // Pre-decoded image: if this segment is backed by the load-time image
-  // and the live word still matches the image's raw word, reuse the
-  // pre-decoded instruction instead of decoding again. A mismatch is the
-  // copy-on-write split — this machine wrote (or had patched) the word,
-  // so it decodes its own copy while its clone siblings keep the shared
-  // one.
-  const SharedDecodeImage::Entry* pre = DecodeImageEntry(regs_.ipr.segno, regs_.ipr.wordno);
-  if (pre != nullptr && pre->raw != word) {
-    ++counters_.shared_decode_misses;
-    pre = nullptr;
-  }
-  if (pre != nullptr) {
-    ++counters_.shared_decode_hits;
-    if (!pre->decodable) {
-      RaiseTrap(TrapCause::kIllegalOpcode);
-      return false;
-    }
-    *ins = pre->ins;
-  } else if (!DecodeInstruction(word, ins)) {
+  if (!DecodeInstruction(memory_->Read(addr), ins)) {
     RaiseTrap(TrapCause::kIllegalOpcode);
     return false;
   }
   if (fast_path_enabled_ && sdw_cache_.enabled()) {
-    // Paged decodes are cacheable too: the fill address is an absolute
-    // frame address, and a later fast-path hit revalidates it against the
-    // TLB's current translation for the page.
+    // The decode feeds block formation (TryBuildBlock), which revalidates
+    // the fill address against the verdict's base or, for paged segments,
+    // the TLB's current translation for the page.
     ++counters_.insn_cache_misses;
     insn_cache_.Put(regs_.ipr.segno, regs_.ipr.wordno, addr, *ins);
   }

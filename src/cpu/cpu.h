@@ -9,9 +9,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
-#include <vector>
 
 #include "src/core/access.h"
 #include "src/core/transfer.h"
@@ -21,7 +19,6 @@
 #include "src/cpu/registers.h"
 #include "src/fault/fault_injector.h"
 #include "src/cpu/sdw_cache.h"
-#include "src/cpu/shared_decode.h"
 #include "src/cpu/tlb.h"
 #include "src/cpu/trap.h"
 #include "src/cpu/verdict_cache.h"
@@ -71,12 +68,18 @@ class Cpu {
   SdwCache& sdw_cache() { return sdw_cache_; }
   const SdwCache& sdw_cache() const { return sdw_cache_; }
 
-  // Host-side fast path: the access-verdict and decoded-instruction
-  // caches. Purely a host optimization — simulated cycles, counters, trap
-  // sequences and the fault-injection stream are bit-identical with the
-  // fast path on or off (tests/integration/fastpath_differential_test.cc).
-  // It also disengages automatically while the SDW cache is disabled, so
-  // the ablation benchmarks measure what they claim to.
+  // The engine choice (see DESIGN.md §7). Off, Step and StepBlock are the
+  // reference interpreter: StepBody with no host-side memo at all. On,
+  // StepBlock is the block engine: straight-line blocks of cached decodes
+  // run through a tight pre-decoded inner loop and chain into their
+  // successors, and whatever a block cannot vouch for falls back to the
+  // same StepBody, whose operand, transfer and crossing paths then
+  // consult the verdict, TLB and crossing memos. Purely a host
+  // optimization — simulated cycles, counters, trap sequences and the
+  // fault-injection stream are bit-identical either way
+  // (tests/integration/fastpath_differential_test.cc). The memos also
+  // disengage while the SDW cache is disabled, so the ablation benchmarks
+  // measure what they claim to.
   bool fast_path_enabled() const { return fast_path_enabled_; }
   void set_fast_path_enabled(bool enabled) {
     fast_path_enabled_ = enabled;
@@ -90,20 +93,10 @@ class Cpu {
   const InsnCache& insn_cache() const { return insn_cache_; }
   const Tlb& tlb() const { return tlb_; }
 
-  // Superblock execution engine (see DESIGN.md): decoded straight-line
-  // blocks executed by StepBlock through a tight pre-decoded inner loop.
-  // Rides on the fast path (disengages while fast_path or the SDW cache
-  // is off); like the other host-side caches it never changes simulated
-  // cycles, counters, trap sequences, or the fault-injection stream.
-  bool block_engine_enabled() const { return block_engine_enabled_; }
-  void set_block_engine_enabled(bool enabled) {
-    block_engine_enabled_ = enabled;
-    block_cache_.Flush();
-  }
   const BlockCache& block_cache() const { return block_cache_; }
 
   // The monomorphic CALL/RETURN crossing cache (see DESIGN.md §7). It
-  // rides the fast path like the verdict and insn caches, and is what
+  // rides the engine choice like the verdict and insn caches, and is what
   // lets a CALL-terminated block chain straight into its callee; block
   // chaining itself is always on inside the block engine.
   const CrossingCache& crossing_cache() const { return crossing_cache_; }
@@ -115,40 +108,6 @@ class Cpu {
   // a chaining bug. Never set outside tests and --fuzz-ablation paths.
   bool chain_ablation() const { return chain_ablation_; }
   void set_chain_ablation(bool enabled) { chain_ablation_ = enabled; }
-
-  // Read-only pre-decoded image (see src/cpu/shared_decode.h). The
-  // machine attaches the per-segno decoded tables after program load; the
-  // slow fetch path consults them after reading the live word and falls
-  // back to live decode on any mismatch (the CoW split). Host-only: the
-  // image never changes what a fetch charges or traps.
-  void AttachDecodeImage(
-      std::shared_ptr<const SharedDecodeImage> image,
-      const std::vector<std::pair<Segno, const SharedDecodeImage::Segment*>>& map) {
-    for (const auto& [segno, seg] : map) {
-      if (decode_map_.size() <= segno) {
-        decode_map_.resize(static_cast<size_t>(segno) + 1, nullptr);
-      }
-      decode_map_[segno] = seg;
-    }
-    decode_images_.push_back(std::move(image));
-  }
-  bool has_decode_image() const { return !decode_images_.empty(); }
-  // Clone support (Machine::CloneFrom): share the parent's attached decode
-  // images and per-segno map wholesale. The images are immutable after
-  // publication, so aliasing them is free and safe across threads.
-  void CopyDecodeTablesFrom(const Cpu& parent) {
-    decode_images_ = parent.decode_images_;
-    decode_map_ = parent.decode_map_;
-  }
-  // Host bytes of decoded tables this machine references (its own, or
-  // the golden's it was cloned from).
-  size_t decode_image_bytes() const {
-    size_t total = 0;
-    for (const auto& image : decode_images_) {
-      total += image->bytes();
-    }
-    return total;
-  }
 
   // Test-only sabotage of the superblock engine, used by the fuzz
   // harness (src/fuzz) to prove its differential oracle catches a broken
@@ -177,9 +136,9 @@ class Cpu {
   // at which the caller's loop would stop stepping (its cycle budget or
   // the next due I/O completion), and a latched physical-store fault,
   // timer runout, pending trap, or any cache invalidation under the block
-  // ends it early. Degrades to exactly Step() when the block engine or
-  // fast path is off. Returns what Step would have returned for the last
-  // instruction executed.
+  // ends it early. Degrades to exactly Step() under the reference
+  // interpreter (fast path off). Returns what Step would have returned for
+  // the last instruction executed.
   bool StepBlock(uint64_t cycle_bound);
 
   bool trap_pending() const { return trap_pending_; }
@@ -380,18 +339,6 @@ class Cpu {
     return checks_enabled_ && fast_path_enabled_ && sdw_cache_.enabled() &&
            mode_ == ProtectionMode::kRingHardware;
   }
-  // The decode-image entry covering (segno, wordno), if any.
-  const SharedDecodeImage::Entry* DecodeImageEntry(Segno segno, Wordno wordno) const {
-    if (segno >= decode_map_.size()) {
-      return nullptr;
-    }
-    const SharedDecodeImage::Segment* seg = decode_map_[segno];
-    if (seg == nullptr || wordno >= seg->words.size()) {
-      return nullptr;
-    }
-    return &seg->words[wordno];
-  }
-
   // --- per-opcode execute handlers; both the per-instruction path and
   // the block inner loop dispatch through the Execute switch so the
   // compiler can inline the hot handlers ---
@@ -535,15 +482,10 @@ class Cpu {
   VerdictCache verdict_cache_;
   InsnCache insn_cache_;
   Tlb tlb_;
-  bool block_engine_enabled_ = true;
   bool block_call_ablation_ = false;
   BlockCache block_cache_;
   bool chain_ablation_ = false;
   CrossingCache crossing_cache_;
-  // Decode images: refcounts keep the attached images alive;
-  // decode_map_ indexes their per-segment tables by segno.
-  std::vector<std::shared_ptr<const SharedDecodeImage>> decode_images_;
-  std::vector<const SharedDecodeImage::Segment*> decode_map_;
   FaultInjector* fault_injector_ = nullptr;
   uint64_t cycles_ = 0;
   Counters counters_;

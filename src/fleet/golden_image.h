@@ -12,8 +12,6 @@
 // Pin RAII scope that retains every image handed out while any Pin is
 // alive: fleets retire members one at a time, so per-machine lifetime
 // alone would let the image expire mid-run and force a re-boot per spawn.
-// Each golden also carries its program's read-only decode image, which
-// every clone aliases (Cpu::CopyDecodeTablesFrom).
 #ifndef SRC_FLEET_GOLDEN_IMAGE_H_
 #define SRC_FLEET_GOLDEN_IMAGE_H_
 

@@ -126,12 +126,11 @@ CheckResult CheckGuest(const std::string& source, const FuzzOptions& options) {
   }
   const Program& program = assembled.program;
 
-  // --- reference leg: the per-instruction slow path ----------------------
-  MachineConfig slow = BaseConfig();
-  slow.fast_path = false;
-  slow.block_engine = false;
+  // --- reference leg: the reference interpreter ---------------------------
+  MachineConfig reference = BaseConfig();
+  reference.fast_path = false;
   std::string error;
-  auto ref_machine = MakeGuestMachine(slow, program, manifest, &error);
+  auto ref_machine = MakeGuestMachine(reference, program, manifest, &error);
   if (ref_machine == nullptr) {
     result.error = "instantiate: " + error;
     return result;
@@ -151,28 +150,19 @@ CheckResult CheckGuest(const std::string& source, const FuzzOptions& options) {
     result.divergence.detail = std::move(detail);
   };
 
-  // --- standalone legs: fast path, superblock engine ---------------------
-  struct EngineLeg {
-    const char* name;
-    bool block_engine;
-  };
-  static constexpr EngineLeg kLegs[] = {
-      {"fast", false},
-      {"block", true},
-  };
-  for (const EngineLeg& leg : kLegs) {
+  // --- standalone leg: the block engine ----------------------------------
+  {
     MachineConfig config = BaseConfig();
-    config.block_engine = leg.block_engine;
     config.block_call_ablation = options.ablate_block_call;
     config.chain_ablation = options.ablate_chain;
     auto machine = MakeGuestMachine(config, program, manifest, &error);
     if (machine == nullptr) {
-      diverged(leg.name, "instantiate: " + error);
+      diverged("block", "instantiate: " + error);
       return result;
     }
     machine->Run(options.max_cycles);
     if (std::string diff = Compare(result.reference, SignatureOf(*machine)); !diff.empty()) {
-      diverged(leg.name, std::move(diff));
+      diverged("block", std::move(diff));
       return result;
     }
   }

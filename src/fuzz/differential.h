@@ -1,10 +1,10 @@
 // The differential oracle: run one guest program under every execution
-// configuration the simulator promises is bit-identical — the
-// per-instruction slow path, the host fast path, the superblock engine,
-// the fleet engine at several thread counts, and a snapshot/restore cut
-// mid-run — and compare the runs field by field (cycles, instructions,
-// architectural counters, trap/ring-switch sequence, process outcomes,
-// tty output, and the FNV-1a fingerprint that folds them all together).
+// configuration the simulator promises is bit-identical — the reference
+// interpreter, the block engine, the fleet at several thread counts, and
+// a snapshot/restore cut mid-run — and compare the runs field by field
+// (cycles, instructions, architectural counters, trap/ring-switch
+// sequence, process outcomes, tty output, and the FNV-1a fingerprint that
+// folds them all together).
 // Any disagreement is a Divergence naming the leg and the first
 // differing field.
 #ifndef SRC_FUZZ_DIFFERENTIAL_H_
@@ -57,7 +57,7 @@ struct RunSignature {
 
 struct Divergence {
   bool found = false;
-  std::string leg;     // "fast", "block", "fleet-4", "snapshot", ...
+  std::string leg;     // "block", "fleet-4", "snapshot", ...
   std::string detail;  // first differing field, ref vs leg values
 
   std::string ToString() const;
@@ -70,7 +70,7 @@ struct CheckResult {
   bool ok = false;
   std::string error;
   Divergence divergence;
-  RunSignature reference;  // the slow-path signature, for reporting
+  RunSignature reference;  // the reference interpreter's signature, for reporting
 };
 
 // Runs the full differential check on one guest source file (manifest

@@ -8,9 +8,9 @@
 // source, so a seed alone is a full repro.
 //
 // The instruction mix is deliberately weighted toward the regions where
-// the three engines (per-instruction slow path, fast path, superblock
-// engine) and the fleet/snapshot machinery have historically been most at
-// risk of diverging:
+// the two engines (the reference interpreter and the block engine) and
+// the fleet/snapshot machinery have historically been most at risk of
+// diverging:
 //   - CALL/RETURN gate crossings, including calls executed inside counted
 //     loops (the only place the block engine re-executes a decoded CALL);
 //   - indirect-word chains through planted .its words, including chains

@@ -1,7 +1,5 @@
 #include "src/mem/physical_memory.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 namespace rings {
@@ -50,7 +48,6 @@ PhysicalMemory::PhysicalMemory(size_t size_words) : size_words_(size_words) {
 PhysicalMemory::PhysicalMemory(const PhysicalMemory& parent, CowClone)
     : size_words_(parent.size_words_),
       next_free_(parent.next_free_),
-      policy_(parent.policy_),
       latched_fault_(parent.latched_fault_),
       fault_count_(parent.fault_count_) {
   parent.SealForCloning();
@@ -106,12 +103,6 @@ Word* PhysicalMemory::Privatize(size_t frame_index) {
 }
 
 void PhysicalMemory::LatchFault(AbsAddr addr, bool write) const {
-  if (policy_ == OutOfRangePolicy::kAbort) {
-    std::fprintf(stderr, "PhysicalMemory::%s out of range: %llu >= %zu\n",
-                 write ? "Write" : "Read", static_cast<unsigned long long>(addr),
-                 size_words_);
-    std::abort();
-  }
   ++fault_count_;
   if (!latched_fault_.has_value()) {
     latched_fault_ = MemoryFault{addr, write};

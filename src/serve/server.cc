@@ -28,15 +28,6 @@ uint64_t SourceIdentity(const std::string& source) {
   return h;
 }
 
-// The daemon's host engine settings, shared by golden builds and image
-// restores.
-MachineConfig EngineConfig(const ServeConfig& serve) {
-  MachineConfig config;
-  config.fast_path = serve.fast_path;
-  config.block_engine = serve.block_engine;
-  return config;
-}
-
 ServeConfig Normalized(ServeConfig config) {
   config.threads = std::max(config.threads, 1);
   config.slice_cycles = std::max<uint64_t>(config.slice_cycles, 1);
@@ -143,11 +134,17 @@ uint64_t Server::Submit(Submission submission) {
 
 Completion Server::Wait(uint64_t id) {
   std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this, id] {
-    const auto it = tasks_.find(id);
+  auto it = tasks_.end();
+  done_cv_.wait(lock, [this, id, &it] {
+    it = tasks_.find(id);
     return it != tasks_.end() && it->second->done;
   });
-  return tasks_.find(id)->second->completion;
+  // The completion is delivered once; the task (its source or image bytes
+  // and tty output) goes with it, so a long-running daemon holds only what
+  // is still queued, running, or not yet collected.
+  Completion completion = std::move(it->second->completion);
+  tasks_.erase(it);
+  return completion;
 }
 
 void Server::Shutdown() {
@@ -188,7 +185,7 @@ bool Server::Materialize(Task* task) {
       Retire(task, ServeStatus::kFailed, std::move(error));
       return false;
     }
-    machine = std::make_unique<Machine>(RestoreConfig(meta, EngineConfig(config_)));
+    machine = std::make_unique<Machine>(RestoreConfig(meta, MachineConfig{}));
     if (!machine->ok() || !RestoreSnapshot(sub.image, machine.get(), &error)) {
       Retire(task, ServeStatus::kFailed,
              machine->ok() ? std::move(error) : "machine construction failed");
@@ -197,10 +194,7 @@ bool Server::Materialize(Task* task) {
   } else {
     // Golden-image path: the first submission of a distinct source pays
     // assemble+boot+load under the registry lock; every later one clones.
-    // Engine flags join the identity (as in ringsim's fleet wiring) so a
-    // golden booted under one host configuration never serves another.
-    const uint64_t identity = SourceIdentity(sub.source) ^
-                              ((config_.fast_path ? 1u : 0u) | (config_.block_engine ? 2u : 0u));
+    const uint64_t identity = SourceIdentity(sub.source);
     std::string build_error;
     const auto build = [this, &sub, &build_error]() -> std::unique_ptr<Machine> {
       const AssembleResult assembled = Assemble(sub.source);
@@ -213,7 +207,7 @@ bool Server::Materialize(Task* task) {
         build_error = manifest.error;
         return nullptr;
       }
-      MachineConfig config = EngineConfig(config_);
+      MachineConfig config;
       config.memory_words = config_.machine_memory_words;
       auto golden_machine = std::make_unique<Machine>(config);
       if (!golden_machine->ok()) {

@@ -47,15 +47,6 @@ struct ServeConfig {
   size_t machine_memory_words = size_t{1} << 22;
   // Per-submission cycle cap when the submission does not set one.
   uint64_t default_max_cycles = 100'000'000;
-  // Host engine configuration for every machine the daemon builds: from
-  // source, and from images (which carry their machine shape but no
-  // engine settings). Host-only — simulated results are bit-identical
-  // across all settings — but folded into the golden-image identity so a
-  // golden built under one engine configuration never serves another.
-  // bench_serve wires block_engine to the RINGS_BLOCK_ENGINE CI ablation
-  // hook.
-  bool fast_path = true;
-  bool block_engine = true;
 };
 
 // Per-tenant resource ceilings. Defaults are unlimited.
@@ -122,7 +113,9 @@ class Server {
   // Wait on — a refused submission completes immediately as kRejected).
   uint64_t Submit(Submission submission);
 
-  // Blocks until submission `id` retires and returns its completion.
+  // Blocks until submission `id` retires and returns its completion. Each
+  // id is waited on exactly once: the call hands the completion over and
+  // forgets the submission, so a second Wait on the same id never returns.
   Completion Wait(uint64_t id);
 
   // Stops accepting submissions, drains everything queued, joins the
@@ -158,12 +151,13 @@ class Server {
   void ChargeTenant(const std::string& tenant, uint64_t cycles);
 
   ServeConfig config_;
-  // Keep golden images (and through them their decode images) alive for
-  // the server's lifetime: tenants come and go, the daemon persists.
+  // Keep golden images alive for the server's lifetime: tenants come and
+  // go, the daemon persists.
   GoldenImageRegistry::Pin golden_pin_;
 
   std::mutex mu_;  // tasks_, tenants_, next_id_, accepting_
   std::condition_variable done_cv_;  // waiters sleep here
+  // Submissions from Submit until their Wait collects the completion.
   std::map<uint64_t, std::unique_ptr<Task>> tasks_;
   std::map<std::string, Tenant> tenants_;
   uint64_t next_id_ = 1;

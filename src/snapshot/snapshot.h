@@ -16,8 +16,8 @@
 // The restore contract is exact: a machine restored from a snapshot taken
 // at a Machine::Run boundary produces the same FNV-1a fingerprint,
 // counters, and trap sequence the live machine would have produced had it
-// run uninterrupted (pinned by tests/snapshot/ across the slow, fast, and
-// block engines and across fleet thread counts).
+// run uninterrupted (pinned by tests/snapshot/ across the reference
+// interpreter and the block engine and across fleet thread counts).
 //
 // The image is versioned and section-checksummed (CRC-32); truncated,
 // bit-flipped, or wrong-endian images are rejected with structured errors
@@ -40,7 +40,7 @@ namespace rings {
 // "RING" when the little-endian header is viewed byte-reversed; the
 // byte-swapped value is recognized and rejected as wrong-endian.
 inline constexpr uint32_t kSnapshotMagic = 0x52494E47u;
-inline constexpr uint32_t kSnapshotVersion = 1;
+inline constexpr uint32_t kSnapshotVersion = 2;
 
 // The largest core store an image may declare (2^34 words). Larger sizes
 // are rejected as implausible when the meta section is read, before
@@ -59,8 +59,8 @@ struct SnapshotMeta {
 
 // The configuration of a machine to restore an image into: the image's
 // machine shape (memory size, cycle model, quantum, protection mode) over
-// `engine`'s host settings (fast path, block engine, ...), which images
-// do not carry.
+// `engine`'s host settings (the engine choice, ...), which images do not
+// carry.
 MachineConfig RestoreConfig(const SnapshotMeta& meta, MachineConfig engine);
 
 // Serializes `machine` (which must be at a Machine::Run boundary — the

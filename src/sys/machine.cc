@@ -23,7 +23,6 @@ Machine::Machine(MachineConfig config)
                   Supervisor::Options{.quantum = config.quantum, .verbose = false}) {
   cpu_.set_mode(config.mode);
   cpu_.set_fast_path_enabled(config.fast_path);
-  cpu_.set_block_engine_enabled(config.block_engine);
   cpu_.set_block_call_ablation(config.block_call_ablation);
   cpu_.set_chain_ablation(config.chain_ablation);
   cpu_.set_trace(&trace_);
@@ -43,7 +42,6 @@ Machine::Machine(const Machine& parent, CloneTag)
       supervisor_(&cpu_, &memory_, &registry_, parent.supervisor_.options()) {
   cpu_.set_mode(config_.mode);
   cpu_.set_fast_path_enabled(config_.fast_path);
-  cpu_.set_block_engine_enabled(config_.block_engine);
   cpu_.set_block_call_ablation(config_.block_call_ablation);
   cpu_.set_chain_ablation(config_.chain_ablation);
   cpu_.set_trace(&trace_);
@@ -59,9 +57,6 @@ std::unique_ptr<Machine> Machine::CloneFrom(const Machine& golden) {
   }
   std::unique_ptr<Machine> clone(new Machine(golden, CloneTag{}));
   clone->ApplyState(golden.CaptureState());
-  // The clone shares the golden's decode image; it built none itself.
-  clone->cpu_.CopyDecodeTablesFrom(golden.cpu_);
-  clone->cpu_.counters().shared_decode_builds = 0;
   return clone;
 }
 
@@ -107,9 +102,6 @@ bool Machine::LoadProgram(const Program& program,
   // core store.
   cpu_.FlushInsnCache();
   cpu_.FlushTlb();
-  if (ok) {
-    AttachDecodeImage(program);
-  }
   return ok;
 }
 
@@ -141,24 +133,6 @@ uint64_t ProgramIdentity(const Program& program) {
     }
   }
   return h;
-}
-
-void Machine::AttachDecodeImage(const Program& program) {
-  SharedDecodeImage::Builder builder;
-  for (const AssembledSegment& seg : program.segments) {
-    builder.AddSegment(seg.name, seg.words);
-  }
-  std::shared_ptr<const SharedDecodeImage> image = builder.Publish();
-  ++cpu_.counters().shared_decode_builds;
-  std::vector<std::pair<Segno, const SharedDecodeImage::Segment*>> map;
-  for (const AssembledSegment& seg : program.segments) {
-    const RegisteredSegment* reg = registry_.Find(seg.name);
-    const SharedDecodeImage::Segment* img = image->FindSegment(seg.name);
-    if (reg != nullptr && img != nullptr) {
-      map.emplace_back(reg->segno, img);
-    }
-  }
-  cpu_.AttachDecodeImage(std::move(image), map);
 }
 
 bool Machine::LoadProgramSource(std::string_view source,

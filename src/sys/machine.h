@@ -30,15 +30,15 @@ struct MachineConfig {
   CycleModel cycle_model{};
   int64_t quantum = 5000;
   ProtectionMode mode = ProtectionMode::kRingHardware;
-  // Host-side address-formation fast path (verdict + decoded-instruction
-  // caches). Simulated cycles and counters are bit-identical either way;
-  // off is useful for differential testing and host-cost ablation.
+  // The engine choice (see DESIGN.md §7). True runs the block engine:
+  // cached decodes chained into straight-line blocks executed one
+  // dispatch at a time, each completed block linked straight to its
+  // successor, and the verdict, TLB and crossing memos on the
+  // per-instruction path it falls back to. False runs the reference
+  // interpreter, which consults no host-side memo; it is the oracle the
+  // differential tests and the fuzzer check the block engine against.
+  // Simulated cycles and counters are bit-identical either way.
   bool fast_path = true;
-  // Superblock execution engine: chains cached decodes into straight-line
-  // blocks executed one dispatch at a time, and links each completed
-  // block straight to its successor (see DESIGN.md §7). Host-side only,
-  // like the fast path; bit-identical simulation either way.
-  bool block_engine = true;
   // Test-only: deliberately break the block engine (one spurious cycle
   // per CALL executed inside a block) so the differential fuzz oracle's
   // catch-and-shrink path can be exercised. See Cpu::block_call_ablation.
@@ -75,8 +75,8 @@ class Machine {
   // state is ApplyState(golden.CaptureState()) — so the clone runs the
   // same trajectory, fingerprint, and counters a fresh boot+load of the
   // same program would, at O(state + frame table) spawn cost instead of
-  // O(memory). It shares the golden's decode image and, like a restored
-  // machine, starts with an empty audit-findings log. Skips supervisor
+  // O(memory). Like a restored machine, it starts with empty host caches
+  // and an empty audit-findings log. Skips supervisor
   // initialization and program load entirely. Cloning the same sealed
   // golden machine from multiple threads is safe (see
   // GoldenImageRegistry); cloning a machine that is still running is safe
@@ -163,11 +163,6 @@ class Machine {
   Machine(const Machine& parent, CloneTag);
 
   void StartIo(uint8_t device, Word detail);
-
-  // Builds the program's read-only decode image (shared later by every
-  // clone of this machine) and maps its segments onto the segnos the
-  // registry just assigned.
-  void AttachDecodeImage(const Program& program);
 
   // Runs the protection auditor once and accumulates findings.
   void RunAudit();

@@ -45,10 +45,10 @@ struct Counters {
   uint64_t downward_returns_emulated = 0;
   uint64_t argument_words_copied = 0;
 
-  // Host-side fast path (see DESIGN.md, "Address-formation fast path").
-  // These describe host work saved, not simulated events: simulated
-  // cycles and the counters above are bit-identical with the fast path
-  // on or off.
+  // The block engine's host-side caches (see DESIGN.md §7). These
+  // describe host work saved, not simulated events: simulated cycles and
+  // the counters above are bit-identical on either engine, and under the
+  // reference interpreter every hit, miss and build count stays zero.
   uint64_t verdict_hits = 0;
   uint64_t verdict_misses = 0;          // slow-path reference that filled a verdict
   uint64_t verdict_invalidations = 0;   // slots dropped (SDW edits, evictions, drops)
@@ -67,9 +67,6 @@ struct Counters {
   uint64_t chain_follows = 0;           // dispatches served by following a patched link
   uint64_t crossing_hits = 0;           // CALL/RETURNs resolved by the crossing cache
   uint64_t crossing_misses = 0;         // CALL/RETURNs that re-resolved (and refilled a site)
-  uint64_t shared_decode_hits = 0;      // slow-path fetches decoded from the shared image
-  uint64_t shared_decode_misses = 0;    // image attached but the stored word diverged (CoW)
-  uint64_t shared_decode_builds = 0;    // decode images this machine built (vs. shared)
 
   // Hardened trap paths (see DESIGN.md, "Fault model & recovery").
   uint64_t sdw_recoveries = 0;         // corrupted cached SDW detected, flushed, resumed
@@ -98,12 +95,11 @@ struct Counters {
   void Accumulate(const Counters& other);
 
   // Visits every scalar counter as fn(name, member_pointer, host_only).
-  // host_only marks the host-side fast-path statistics (verdict_* /
-  // insn_cache_* / tlb_* / block_* / chain_* / crossing_* /
-  // shared_decode_*): they describe host work saved, not simulated
-  // events, and are the only counters excluded from differential
-  // fingerprints. The traps array is architectural and is visited by
-  // callers directly.
+  // host_only marks the host-side cache statistics (verdict_* /
+  // insn_cache_* / tlb_* / block_* / chain_* / crossing_*): they
+  // describe host work saved, not simulated events, and are the only
+  // counters excluded from differential fingerprints. The traps array is
+  // architectural and is visited by callers directly.
   template <typename Fn>
   static void ForEachField(Fn&& fn) {
     auto arch = [&fn](const char* name, uint64_t Counters::* member) {
@@ -154,9 +150,6 @@ struct Counters {
     host("chain_follows", &Counters::chain_follows);
     host("crossing_hits", &Counters::crossing_hits);
     host("crossing_misses", &Counters::crossing_misses);
-    host("shared_decode_hits", &Counters::shared_decode_hits);
-    host("shared_decode_misses", &Counters::shared_decode_misses);
-    host("shared_decode_builds", &Counters::shared_decode_builds);
     arch("sdw_recoveries", &Counters::sdw_recoveries);
     arch("spurious_pages_ignored", &Counters::spurious_pages_ignored);
     arch("machine_faults", &Counters::machine_faults);

@@ -1,12 +1,11 @@
 // Block-to-block chaining and the CALL/RETURN crossing cache: directed
 // coverage of every invalidation site. Each site test runs a chained
-// twin (block engine on; chaining is always on inside it) against an
-// unchained twin (block engine off, so the per-instruction fast path)
-// through the same mid-run invalidation and requires the full
-// architectural face (cycles, registers, traps, every non-host counter)
-// to stay bit-identical — a patched successor
-// link or crossing memo that survived the site would execute stale
-// decode or skip a revalidation and split the twins. The five sites:
+// twin (the block engine; chaining is always on inside it) against the
+// reference interpreter through the same mid-run invalidation and
+// requires the full architectural face (cycles, registers, traps, every
+// non-host counter) to stay bit-identical — a patched successor link or
+// crossing memo that survived the site would execute stale decode or
+// skip a revalidation and split the twins. The five sites:
 //
 //   1. SDW cache epoch flush        (Cpu::FlushSdwCache)
 //   2. descriptor snoop             (Cpu::InvalidateSdw)
@@ -40,7 +39,7 @@ void ExpectSimCountersEqual(const Counters& a, const Counters& b) {
 }
 
 // The whole architectural face of two machines must agree; only host-side
-// cache effectiveness may differ between the chained and unchained twins.
+// cache effectiveness may differ between the chained and reference twins.
 void ExpectTwinsAgree(BareMachine& on, BareMachine& off) {
   Cpu& c1 = on.cpu();
   Cpu& c2 = off.cpu();
@@ -70,8 +69,8 @@ struct LoopRig {
   BareMachine m;
   Segno code = 0;
 
-  explicit LoopRig(bool block_engine) {
-    m.cpu().set_block_engine_enabled(block_engine);
+  explicit LoopRig(bool fast_path) {
+    m.cpu().set_fast_path_enabled(fast_path);
     code = m.AddCode(
         {MakeIns(Opcode::kAdai, 1), MakeIns(Opcode::kTra, 2), MakeIns(Opcode::kAdai, 2),
          MakeIns(Opcode::kTra, 0)},
@@ -79,9 +78,9 @@ struct LoopRig {
     m.SetIpr(4, code, 0);
   }
 
-  // Drives the superblock engine (the only executor that chains; with it
-  // disabled StepBlock steps one instruction) until the simulated cycle
-  // bound or a trap.
+  // Drives the block engine (the only executor that chains; under the
+  // reference interpreter StepBlock steps one instruction) until the
+  // simulated cycle bound or a trap.
   void RunTo(uint64_t bound) {
     while (m.cpu().cycles() < bound && !m.cpu().trap_pending()) {
       m.cpu().StepBlock(bound);
@@ -97,13 +96,13 @@ struct LoopRig {
   }
 };
 
-// Runs the same scenario on a chained and an unchained twin and checks
+// Runs the same scenario on a chained and a reference twin and checks
 // the twins agree afterwards; returns the chained twin's final A for
 // rewrite-visibility assertions.
 template <typename Scenario>
 Word RunTwinScenario(Scenario&& scenario) {
-  LoopRig on(/*block_engine=*/true);
-  LoopRig off(/*block_engine=*/false);
+  LoopRig on(/*fast_path=*/true);
+  LoopRig off(/*fast_path=*/false);
   scenario(on);
   scenario(off);
   EXPECT_GT(on.m.cpu().counters().chain_follows, 0u);
@@ -121,7 +120,7 @@ TEST(ChainInvalidate, SdwCacheFlushDropsPatchedLinks) {
   });
   // The rewrite really changed guest arithmetic (the twin comparison
   // would pass vacuously if both twins kept executing stale decode).
-  LoopRig control(/*block_engine=*/true);
+  LoopRig control(/*fast_path=*/true);
   control.RunTo(300);
   control.m.cpu().FlushSdwCache();
   control.RunTo(600);
@@ -168,8 +167,8 @@ TEST(ChainInvalidate, InjectedDescriptorDropsKeepTwinsIdentical) {
   FaultInjector inject_on(config);
   FaultInjector inject_off(config);
 
-  LoopRig on(/*block_engine=*/true);
-  LoopRig off(/*block_engine=*/false);
+  LoopRig on(/*fast_path=*/true);
+  LoopRig off(/*fast_path=*/false);
   on.m.cpu().set_fault_injector(&inject_on);
   off.m.cpu().set_fault_injector(&inject_off);
   on.RunTo(4000);
@@ -199,9 +198,9 @@ TEST(ChainInvalidate, InjectedDescriptorDropsKeepTwinsIdentical) {
 //   w7: mme             backstop: stale-nop execution falls through here
 //                       one instruction later and diverges the twins
 TEST(ChainInvalidate, GuestStoreIntoCodeDropsPatchedLinks) {
-  const auto run = [](bool block_engine, BareMachine* out_machine) -> Cpu* {
+  const auto run = [](bool fast_path, BareMachine* out_machine) -> Cpu* {
     auto& m = *out_machine;
-    m.cpu().set_block_engine_enabled(block_engine);
+    m.cpu().set_fast_path_enabled(fast_path);
     const Segno data = m.AddSegment({0, 40}, UserData());  // cnt, limit
     SegmentAccess writable_code = MakeProcedureSegment(4, 4);
     writable_code.flags.write = true;
@@ -223,8 +222,8 @@ TEST(ChainInvalidate, GuestStoreIntoCodeDropsPatchedLinks) {
 
   BareMachine machine_on;
   BareMachine machine_off;
-  Cpu* on = run(/*block_engine=*/true, &machine_on);
-  Cpu* off = run(/*block_engine=*/false, &machine_off);
+  Cpu* on = run(/*fast_path=*/true, &machine_on);
+  Cpu* off = run(/*fast_path=*/false, &machine_off);
 
   ASSERT_TRUE(on->trap_pending());
   ASSERT_TRUE(off->trap_pending());

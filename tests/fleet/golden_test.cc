@@ -131,13 +131,11 @@ void ExpectSameTrajectory(Machine* cloned, Machine* fresh) {
 struct EngineCase {
   const char* name;
   bool fast_path;
-  bool block_engine;
 };
 
 constexpr EngineCase kEngines[] = {
-    {"slow", false, false},
-    {"fast", true, false},
-    {"block", true, true},
+    {"reference", false},
+    {"block", true},
 };
 
 TEST(GoldenImage, CloneMatchesFreshBootAcrossEngines) {
@@ -145,7 +143,6 @@ TEST(GoldenImage, CloneMatchesFreshBootAcrossEngines) {
     SCOPED_TRACE(engine.name);
     MachineConfig config;
     config.fast_path = engine.fast_path;
-    config.block_engine = engine.block_engine;
     const std::unique_ptr<Machine> golden = MakeCallLoopMachine(config);
     ASSERT_NE(golden, nullptr);
     golden->memory().SealForCloning();
@@ -203,6 +200,96 @@ TEST(GoldenImage, CloneOfCloneMidRunContinuesIdentically) {
   EXPECT_TRUE(fresh_run.idle);
   EXPECT_EQ(FingerprintMachine(*c2), FingerprintMachine(*b));
   ExpectArchCountersIdentical(c2->cpu().counters(), b->cpu().counters());
+}
+
+// A guest that copies one word from the `patch` data segment over its own
+// `target` instruction, executes it, and exits with the A register:
+//
+//   main w0: lda src,*     main w4: src -> patch[0]
+//        w1: sta dst,*          w5: dst -> main[2]
+//        w2: ldai 7  (target)
+//        w3: mme 0
+//
+// Poking patch[0] with the original `ldai 7` encoding makes the
+// self-store a no-op (exit 7); poking a different instruction makes the
+// guest genuinely self-modifying (exit = the new immediate).
+constexpr char kSelfPatchSource[] = R"(
+        .segment main
+start:  lda   src,*
+        sta   dst,*
+target: ldai  7
+        mme   0
+src:    .its  4, patch, 0
+dst:    .its  4, main, 2
+
+        .segment patch
+        .word 0
+)";
+
+std::unique_ptr<Machine> MakeSelfPatchGolden(MachineConfig config) {
+  config.memory_words = size_t{1} << 18;
+  auto machine = std::make_unique<Machine>(config);
+  SegmentAccess writable_code = MakeProcedureSegment(4, 4);
+  writable_code.flags.write = true;  // the guest stores into its own code
+  std::map<std::string, AccessControlList> acls;
+  acls["main"] = AccessControlList::Public(writable_code);
+  acls["patch"] = AccessControlList::Public(MakeDataSegment(4, 4));
+  if (!machine->LoadProgramSource(kSelfPatchSource, acls)) {
+    return nullptr;
+  }
+  Process* p = machine->Login("test");
+  machine->supervisor().InitiateAll(p);
+  if (!machine->Start(p, "main", "start", kUserRing)) {
+    return nullptr;
+  }
+  machine->memory().SealForCloning();
+  return machine;
+}
+
+int64_t RunToExit(Machine* machine) {
+  EXPECT_TRUE(machine->Run(10'000'000).idle);
+  const auto& processes = machine->supervisor().processes();
+  EXPECT_EQ(processes.size(), 1u);
+  if (processes.empty()) {
+    return -1;
+  }
+  EXPECT_EQ(processes[0]->state, ProcessState::kExited);
+  return processes[0]->exit_code;
+}
+
+TEST(GoldenImage, SelfModifyingCloneLeavesSiblingsCodeIntact) {
+  const Word original = EncodeInstruction(MakeIns(Opcode::kLdai, 7));
+  for (const EngineCase& engine : kEngines) {
+    SCOPED_TRACE(engine.name);
+    MachineConfig config;
+    config.fast_path = engine.fast_path;
+    const std::unique_ptr<Machine> golden = MakeSelfPatchGolden(config);
+    ASSERT_NE(golden, nullptr);
+    ASSERT_EQ(golden->PeekSegment("main", 2), original);
+    auto a = Machine::CloneFrom(*golden);
+    auto b = Machine::CloneFrom(*golden);
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+
+    // A's self-store rewrites `target` with its original encoding (a
+    // content no-op); B's rewrites it with `ldai 31`.
+    ASSERT_TRUE(a->PokeSegment("patch", 0, original));
+    ASSERT_TRUE(b->PokeSegment("patch", 0, EncodeInstruction(MakeIns(Opcode::kLdai, 31))));
+
+    // B runs (and diverges) first: its store privatized B's own frame and
+    // reached neither the golden nor A, which still executes `ldai 7`.
+    EXPECT_EQ(RunToExit(b.get()), 31);
+    EXPECT_EQ(b->PeekSegment("main", 2), EncodeInstruction(MakeIns(Opcode::kLdai, 31)));
+    EXPECT_EQ(golden->PeekSegment("main", 2), original);
+    EXPECT_EQ(a->PeekSegment("main", 2), original);
+    EXPECT_EQ(RunToExit(a.get()), 7);
+
+    // A clone spawned after B's store starts from the golden's code too.
+    auto c = Machine::CloneFrom(*golden);
+    ASSERT_NE(c, nullptr);
+    ASSERT_TRUE(c->PokeSegment("patch", 0, original));
+    EXPECT_EQ(RunToExit(c.get()), 7);
+  }
 }
 
 // --- registry ---------------------------------------------------------------

@@ -1,6 +1,6 @@
 // The differential oracle end to end: a population of generated guests
-// runs bit-identically across the slow path, fast path, superblock
-// engine, fleet thread counts, and a snapshot/restore cut (this is the
+// runs bit-identically on the reference interpreter, the block engine,
+// fleet thread counts, and a snapshot/restore cut (this is the
 // ctest face of `ringsim --fuzz`); a machine with a sabotaged block
 // engine is caught with a precise first-differing-field report; and a
 // guest the engines genuinely disagree on is impossible to construct from

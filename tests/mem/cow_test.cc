@@ -124,7 +124,6 @@ TEST(CowMemory, AllocatorAndPolicyCarryIntoClone) {
   ASSERT_TRUE(base.has_value());
   EXPECT_EQ(*base, 100u);
   EXPECT_EQ(parent.allocated(), 100u);  // clone allocation is private
-  EXPECT_EQ(clone.out_of_range_policy(), parent.out_of_range_policy());
 }
 
 TEST(CowMemory, OutOfRangeLatchSemanticsSurviveCloning) {

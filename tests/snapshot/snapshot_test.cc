@@ -1,8 +1,8 @@
 // Snapshot/restore correctness. The headline contract: restoring a
 // mid-run image into a fresh machine and running to completion produces
 // the exact fingerprint, counters, and trap sequence the live machine
-// produces uninterrupted — across the slow path, the fast path, and the
-// superblock engine. The robustness contract: truncated, bit-flipped,
+// produces uninterrupted — on the reference interpreter and on the block
+// engine. The robustness contract: truncated, bit-flipped,
 // wrong-endian, and wrong-shape images are rejected with structured
 // errors and leave the target machine untouched.
 #include "src/snapshot/snapshot.h"
@@ -198,18 +198,15 @@ constexpr Guest kGuests[] = {
 struct Engine {
   const char* name;
   bool fast_path;
-  bool block_engine;
 };
 constexpr Engine kEngines[] = {
-    {"slow", false, false},
-    {"fast", true, false},
-    {"block", true, true},
+    {"reference", false},
+    {"block", true},
 };
 
 MachineConfig ConfigFor(const Engine& engine) {
   MachineConfig config;
   config.fast_path = engine.fast_path;
-  config.block_engine = engine.block_engine;
   return config;
 }
 
@@ -412,6 +409,27 @@ TEST(Snapshot, WrongEndianImageIsNamedAsSuch) {
   EXPECT_NE(error.find("wrong-endian"), std::string::npos) << error;
 }
 
+// An image in the previous format (version 1, whose counter section
+// carried three more slots) is refused at the header, even with a header
+// CRC that matches.
+TEST(Snapshot, PreviousFormatVersionIsRefused) {
+  std::vector<uint8_t> image = MakeValidImage(MachineConfig{});
+  image[4] = 1;
+  image[5] = image[6] = image[7] = 0;
+  const uint32_t header_crc = image_surgery::Crc32(image.data(), 12);
+  for (int i = 0; i < 4; ++i) {
+    image[12 + i] = static_cast<uint8_t>(header_crc >> (8 * i));
+  }
+  Machine target{MachineConfig{}};
+  ASSERT_TRUE(target.ok());
+  const uint64_t untouched = FingerprintMachine(target);
+  std::string error;
+  EXPECT_FALSE(RestoreSnapshot(image, &target, &error));
+  EXPECT_NE(error.find("unsupported snapshot version 1 (expected 2)"), std::string::npos)
+      << error;
+  EXPECT_EQ(FingerprintMachine(target), untouched);
+}
+
 TEST(Snapshot, GarbageAndEmptyImagesAreRejected) {
   std::string error;
   EXPECT_FALSE(VerifySnapshot(nullptr, 0, &error));
@@ -460,7 +478,6 @@ constexpr AbsAddr kZeroedFrameBase = AbsAddr{1} << 21;
 std::unique_ptr<Machine> MakePinnedMachine() {
   MachineConfig config;
   config.fast_path = false;
-  config.block_engine = false;
   std::unique_ptr<Machine> live = MakeCallLoopMachine(config);
   if (live == nullptr) {
     return nullptr;
@@ -474,10 +491,10 @@ std::unique_ptr<Machine> MakePinnedMachine() {
   return live;
 }
 
-// Length and CRC-32 of MakePinnedMachine's image, as the word-by-word
-// run-length encoder wrote it before saving skipped zero frames.
-constexpr size_t kPinnedImageBytes = 43079;
-constexpr uint32_t kPinnedImageCrc = 0xFEED0F72u;
+// Length and CRC-32 of MakePinnedMachine's image at format version 2.
+// Skipping zero frames on save changes no byte of the format.
+constexpr size_t kPinnedImageBytes = 43055;
+constexpr uint32_t kPinnedImageCrc = 0x86B5CDCDu;
 
 TEST(SnapshotImage, SaveBytesArePinned) {
   std::unique_ptr<Machine> live = MakePinnedMachine();
@@ -562,7 +579,6 @@ std::unique_ptr<Machine> MakeInFlightMachine(const MachineConfig& config) {
 std::unique_ptr<Machine> MakePinnedInFlightMachine() {
   MachineConfig config;
   config.fast_path = false;
-  config.block_engine = false;
   config.fault = FaultConfig::Uniform(/*seed=*/29, /*ppm=*/400);
   std::unique_ptr<Machine> live = MakeInFlightMachine(config);
   if (live == nullptr) {
@@ -579,10 +595,10 @@ std::unique_ptr<Machine> MakePinnedInFlightMachine() {
   return nullptr;
 }
 
-// Length and CRC-32 of MakePinnedInFlightMachine's image, recorded before
-// the section codecs were rewritten as one visitor per structure.
-constexpr size_t kPinnedInFlightImageBytes = 15852;
-constexpr uint32_t kPinnedInFlightImageCrc = 0x7B62DBD2u;
+// Length and CRC-32 of MakePinnedInFlightMachine's image at format
+// version 2.
+constexpr size_t kPinnedInFlightImageBytes = 15828;
+constexpr uint32_t kPinnedInFlightImageCrc = 0xEBA35708u;
 
 TEST(SnapshotImage, InFlightSaveBytesArePinned) {
   std::unique_ptr<Machine> live = MakePinnedInFlightMachine();
@@ -737,7 +753,6 @@ TEST(SnapshotImage, RestoreConfigTakesShapeFromImageAndEngineFromCaller) {
   engine.memory_words = 7;
   engine.quantum = 1;
   engine.fast_path = false;
-  engine.block_engine = false;
   const MachineConfig config = RestoreConfig(meta, engine);
   EXPECT_EQ(config.memory_words, size_t{1} << 20);
   EXPECT_EQ(config.mode, ProtectionMode::kFlags645);
@@ -745,7 +760,6 @@ TEST(SnapshotImage, RestoreConfigTakesShapeFromImageAndEngineFromCaller) {
   EXPECT_EQ(config.cycle_model.trap, 99u);
   EXPECT_EQ(config.cycle_model.instruction_base, CycleModel{}.instruction_base);
   EXPECT_FALSE(config.fast_path);
-  EXPECT_FALSE(config.block_engine);
 
   // An image restores into its RestoreConfig machine under any engine.
   const std::vector<uint8_t> image = MakeValidImage(MachineConfig{});
@@ -753,7 +767,7 @@ TEST(SnapshotImage, RestoreConfigTakesShapeFromImageAndEngineFromCaller) {
   ASSERT_TRUE(PeekSnapshotMeta(image, &meta, &error)) << error;
   Machine restored(RestoreConfig(meta, engine));
   ASSERT_TRUE(RestoreSnapshot(image, &restored, &error)) << error;
-  EXPECT_FALSE(restored.config().block_engine);
+  EXPECT_FALSE(restored.config().fast_path);
 }
 
 // ---------------------------------------------------------------------------
@@ -819,16 +833,10 @@ class FlattenFields {
   }
 };
 
-// A machine's state, field by field, with the host-only counters zeroed:
-// they count host work, not machine state (a clone, for one, zeroes
-// shared_decode_builds because it shares its golden's decode image).
+// A machine's state, field by field. Host-only counters included: a clone
+// and a restore carry them over exactly like every other counter.
 std::vector<std::string> StateFields(const Machine& machine) {
   MachineState state = machine.CaptureState();
-  Counters::ForEachField([&state](const char*, uint64_t Counters::* member, bool host_only) {
-    if (host_only) {
-      state.cpu.counters.*member = 0;
-    }
-  });
   FlattenFields flat;
   Visit(flat, state);
   return flat.fields;
@@ -861,7 +869,6 @@ TEST(Snapshot, CloneRestoreAndLiveStatesAreFieldIdentical) {
       const std::vector<std::string> want = StateFields(*live);
       ExpectSameFields(want, StateFields(*clone));
       ExpectSameFields(want, StateFields(restored));
-      EXPECT_EQ(clone->cpu().counters().shared_decode_builds, 0u);
     }
   }
   // The in-flight guest adds a fault stream, a stacked return gate and

@@ -10,10 +10,11 @@ the simulated machine's cycle model, so they must match the committed
 baseline exactly (up to float formatting); any drift means the change
 altered the cost of a ring crossing or a paged reference and must either
 be fixed or acknowledged by regenerating the baseline. Because the
-baseline stores fast-path and ``*_NoFastPath`` variants side by side with
-identical ``sim_cycles``, it also pins the invariant that the host-side
-fast path (verdict cache, decoded-instruction cache, software TLB,
-superblock engine) never changes simulated cost. Host wall-clock
+baseline stores block-engine and ``*_NoFastPath`` (reference interpreter)
+variants side by side with identical ``sim_cycles``, it also pins the
+invariant that the block engine and its host-side caches (verdict cache,
+decoded-instruction cache, software TLB, crossing cache) never change
+simulated cost. Host wall-clock
 (``real_time``, ``wall_median_ns``) is recorded in the merged artifact
 for humans but is NOT gated by default — it varies by host.
 
@@ -35,9 +36,7 @@ wall gate needs BOTH a baseline entry with those counters — produced by
 flag, wall entries in the baseline are ignored, so the same committed
 baseline serves the exact sim gate everywhere and the wall gate only
 where it is meaningful (a host comparable to the one that produced the
-baseline, running the default engine configuration — the CI ablation
-passes with the engines forced off are slower by design and check
-sim-only). When armed, the gate fails one-sided by WALL_REL_TOLERANCE:
+baseline, running the default engine configuration). When armed, the gate fails one-sided by WALL_REL_TOLERANCE:
 latencies (``wall_min_ns``, ``wall_p99_ns``) may not rise, throughput
 (``wall_machines_per_sec``) may not drop; getting better never fails.
 

@@ -11,10 +11,9 @@
 //                    N parts per million per opportunity
 //   --fault-seed=N   fault-injection RNG seed (default 1); a (seed, rate)
 //                    pair replays exactly
-//   --no-fastpath    disable the host-side verdict/decoded-instruction
-//                    caches (simulated cycles are identical either way)
-//   --no-block-engine disable the superblock execution engine while
-//                    keeping the caches (same guarantee: host-only)
+//   --no-fastpath    run the reference interpreter instead of the block
+//                    engine and its host-side caches (simulated cycles
+//                    are identical either way)
 //   --stats          print the processor's event counters after the run
 //   --fleet=N        run N independent machines, each loaded with the
 //                    same program, across a worker-thread pool; prints a
@@ -41,7 +40,7 @@
 //                    program) and run it to completion
 //   --fuzz=N         differential fuzzing: generate N random guest
 //                    programs (seeds S, S+1, ...) and check each under
-//                    the slow path, fast path, superblock engine, fleet
+//                    the reference interpreter, the block engine, fleet
 //                    (1/4/8 threads), and a snapshot/restore cut; exits 1
 //                    on the first divergence, writing a self-contained
 //                    repro file
@@ -171,9 +170,8 @@ int ReportRun(const Machine& machine, const RunResult& result, bool trace, bool 
   return MachineExitStatus(machine).code;
 }
 
-int Run(const std::string& path, bool list, bool trace, bool audit, bool fast_path,
-        bool block_engine, bool stats, uint64_t max_cycles, const FaultConfig& fault,
-        const std::string& snapshot_out) {
+int Run(const std::string& path, bool list, bool trace, bool audit, bool fast_path, bool stats,
+        uint64_t max_cycles, const FaultConfig& fault, const std::string& snapshot_out) {
   const LoadedSource loaded = LoadSource(path);
   if (!loaded.ok) {
     return 2;
@@ -192,7 +190,6 @@ int Run(const std::string& path, bool list, bool trace, bool audit, bool fast_pa
   MachineConfig config;
   config.fault = fault;
   config.fast_path = fast_path;
-  config.block_engine = block_engine;
   Machine machine(config);
   if (!machine.ok()) {
     std::fprintf(stderr, "ringsim: machine construction failed\n");
@@ -233,7 +230,7 @@ int Run(const std::string& path, bool list, bool trace, bool audit, bool fast_pa
 // quantum) comes from the image's meta section; a corrupted, truncated,
 // or incompatible image is rejected with a structured error and exit 2.
 int RunRestore(const std::string& restore_path, const std::string& snapshot_out, bool trace,
-               bool fast_path, bool block_engine, bool stats, uint64_t max_cycles) {
+               bool fast_path, bool stats, uint64_t max_cycles) {
   std::vector<uint8_t> image;
   std::string error;
   if (!ReadSnapshotFile(restore_path, &image, &error)) {
@@ -247,7 +244,6 @@ int RunRestore(const std::string& restore_path, const std::string& snapshot_out,
   }
   MachineConfig engine;
   engine.fast_path = fast_path;
-  engine.block_engine = block_engine;
   Machine machine(RestoreConfig(meta, engine));
   if (!machine.ok()) {
     std::fprintf(stderr, "ringsim: machine construction failed\n");
@@ -277,8 +273,7 @@ int RunRestore(const std::string& restore_path, const std::string& snapshot_out,
 // throughput and per-thread utilization in the summary vary.
 int RunFleet(const std::string& path, uint64_t fleet_size, int threads, uint64_t slice_cycles,
              uint64_t checkpoint_every, int max_restarts, bool cold_boot, bool fast_path,
-             bool block_engine, bool stats, uint64_t max_cycles, uint64_t fault_seed,
-             uint32_t fault_rate) {
+             bool stats, uint64_t max_cycles, uint64_t fault_seed, uint32_t fault_rate) {
   const LoadedSource loaded = LoadSource(path);
   if (!loaded.ok) {
     return 2;
@@ -290,15 +285,14 @@ int RunFleet(const std::string& path, uint64_t fleet_size, int threads, uint64_t
   // clone of one golden would share.
   std::shared_ptr<const GoldenImage> golden;
   if (!cold_boot && fault_rate == 0) {
-    // Host engine flags are part of the identity: a golden built with
-    // the block engine off must not serve a run that wants it on.
-    const uint64_t identity = ProgramIdentity(loaded.assembled.program) ^
-                              ((fast_path ? 1u : 0u) | (block_engine ? 2u : 0u));
+    // The engine choice is part of the identity: a golden built under the
+    // reference interpreter must not serve a run that wants the block
+    // engine.
+    const uint64_t identity = ProgramIdentity(loaded.assembled.program) ^ (fast_path ? 1u : 0u);
     golden = GoldenImageRegistry::Instance().Acquire(
-        identity, [&loaded, fast_path, block_engine]() -> std::unique_ptr<Machine> {
+        identity, [&loaded, fast_path]() -> std::unique_ptr<Machine> {
           MachineConfig config;
           config.fast_path = fast_path;
-          config.block_engine = block_engine;
           auto machine = std::make_unique<Machine>(config);
           std::string error;
           if (!machine->ok() ||
@@ -325,14 +319,13 @@ int RunFleet(const std::string& path, uint64_t fleet_size, int threads, uint64_t
   for (uint64_t i = 0; i < fleet_size; ++i) {
     // The factory runs on a worker thread; `loaded` and `golden` outlive
     // fleet.Run(), which blocks until every machine retires.
-    const auto factory = [&loaded, &golden, fast_path, block_engine, fault_seed, fault_rate,
+    const auto factory = [&loaded, &golden, fast_path, fault_seed, fault_rate,
                           i]() -> std::unique_ptr<Machine> {
       if (golden != nullptr) {
         return golden->Spawn();
       }
       MachineConfig config;
       config.fast_path = fast_path;
-      config.block_engine = block_engine;
       if (fault_rate > 0) {
         // Derived seed: every machine gets its own reproducible stream.
         config.fault = FaultConfig::Uniform(fault_seed + i, fault_rate);
@@ -367,7 +360,7 @@ int RunFleet(const std::string& path, uint64_t fleet_size, int threads, uint64_t
 }
 
 // Differential fuzzing mode: N generated guests, each checked under
-// every engine configuration; the first divergence stops the run, is
+// both engines, the fleet and a snapshot cut; the first divergence stops the run, is
 // optionally shrunk, and is written out as a self-contained repro file.
 // Exit codes: 0 all trials agree, 1 divergence found, 2 harness error
 // (a generated guest failed to assemble/instantiate — a generator bug).
@@ -443,7 +436,6 @@ int main(int argc, char** argv) {
   bool trace = false;
   bool audit = false;
   bool fast_path = true;
-  bool block_engine = true;
   bool stats = false;
   uint64_t max_cycles = 100'000'000;
   uint64_t fault_seed = 1;
@@ -469,13 +461,13 @@ int main(int argc, char** argv) {
   std::string restore_path;
   constexpr char kUsage[] =
       "usage: ringsim [--list] [--trace] [--audit] [--stats] [--no-fastpath]\n"
-      "               [--no-block-engine] [--max-cycles=N] [--fault-rate=PPM]\n"
-      "               [--fault-seed=N] [--snapshot-out=FILE]\n"
+      "               [--max-cycles=N] [--fault-rate=PPM] [--fault-seed=N]\n"
+      "               [--snapshot-out=FILE]\n"
       "               [--fleet=N [--threads=T] [--slice-cycles=N]\n"
       "                [--checkpoint-every=N] [--max-restarts=R] [--cold-boot]]\n"
       "               program.asm\n"
       "       ringsim --restore=FILE [--trace] [--stats] [--max-cycles=N]\n"
-      "               [--no-fastpath] [--no-block-engine] [--snapshot-out=FILE]\n"
+      "               [--no-fastpath] [--snapshot-out=FILE]\n"
       "       ringsim --fuzz=N [--fuzz-seed=S] [--shrink] [--fuzz-repro-out=FILE]\n"
       "               [--fuzz-ablation] [--fuzz-chain-ablation]\n";
   for (int i = 1; i < argc; ++i) {
@@ -488,8 +480,6 @@ int main(int argc, char** argv) {
       audit = true;
     } else if (arg == "--no-fastpath") {
       fast_path = false;
-    } else if (arg == "--no-block-engine") {
-      block_engine = false;
     } else if (arg == "--stats") {
       stats = true;
     } else if (arg.rfind("--max-cycles=", 0) == 0) {
@@ -635,8 +625,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "ringsim: --restore cannot be combined with --fleet\n");
       return 2;
     }
-    return rings::RunRestore(restore_path, snapshot_out, trace, fast_path, block_engine, stats,
-                             max_cycles);
+    return rings::RunRestore(restore_path, snapshot_out, trace, fast_path, stats, max_cycles);
   }
   if (path.empty()) {
     std::fprintf(stderr, "%s", kUsage);
@@ -649,9 +638,8 @@ int main(int argc, char** argv) {
     }
     return rings::RunFleet(path, fleet_size, static_cast<int>(threads), slice_cycles,
                            checkpoint_every, static_cast<int>(max_restarts), cold_boot,
-                           fast_path, block_engine, stats, max_cycles, fault_seed, fault_rate);
+                           fast_path, stats, max_cycles, fault_seed, fault_rate);
   }
   const rings::FaultConfig fault = rings::FaultConfig::Uniform(fault_seed, fault_rate);
-  return rings::Run(path, list, trace, audit, fast_path, block_engine, stats, max_cycles, fault,
-                    snapshot_out);
+  return rings::Run(path, list, trace, audit, fast_path, stats, max_cycles, fault, snapshot_out);
 }

@@ -8,8 +8,11 @@ is bit-identical to a standalone ``ringsim --fleet=1`` run of the same
 guest — the serving path (golden-image clone, work stealing, slicing)
 must be invisible to the simulated machine. Then opens 200 short ``ping``
 connections in a row and asserts the daemon's VmSize grew by less than
-256 MiB, so finished connection threads are reaped. Finishes with a clean
-``shutdown`` and asserts the daemon exits 0 and removes its socket.
+256 MiB, so finished connection threads are reaped, and submits one
+~1 MiB source 60 times over one connection and asserts the daemon's
+VmRSS grew by less than 16 MiB over the last 50, so collected
+submissions are released. Finishes with a clean ``shutdown`` and asserts
+the daemon exits 0 and removes its socket.
 
 Prints ``serve smoke: OK`` on success; any mismatch or protocol error is
 fatal with a nonzero exit.
@@ -18,6 +21,7 @@ fatal with a nonzero exit.
 import argparse
 import os
 import re
+import shutil
 import socket
 import subprocess
 import sys
@@ -28,15 +32,19 @@ import time
 
 PING_CONNECTIONS = 200
 PING_VM_GROWTH_LIMIT_MIB = 256
+BIG_SOURCE_BYTES = 1 << 20
+BIG_WARMUP_SUBMISSIONS = 10
+BIG_SUBMISSIONS = 60
+BIG_RSS_GROWTH_LIMIT_MIB = 16
 
 
-def vm_size_kib(pid):
-    """The process's virtual memory size, from /proc/<pid>/status."""
+def proc_status_kib(pid, field):
+    """A size field (VmSize, VmRSS) of the process, from /proc/<pid>/status."""
     with open("/proc/%d/status" % pid) as status:
         for line in status:
-            if line.startswith("VmSize:"):
+            if line.startswith(field + ":"):
                 return int(line.split()[1])
-    raise RuntimeError("no VmSize for pid %d" % pid)
+    raise RuntimeError("no %s for pid %d" % (field, pid))
 
 
 def read_line(sock_file):
@@ -156,7 +164,7 @@ def main():
         # A long-running daemon must not keep finished connection threads:
         # many short connections in a row may not grow its address space
         # by a thread stack (8 MiB by default) each.
-        vm_before = vm_size_kib(daemon.pid)
+        vm_before = proc_status_kib(daemon.pid, "VmSize")
         for _ in range(PING_CONNECTIONS):
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             sock.connect(sock_path)
@@ -164,11 +172,36 @@ def main():
             sock.sendall(b"ping\n")
             expect(sock_file, "pong")
             sock.close()
-        vm_growth_mib = (vm_size_kib(daemon.pid) - vm_before) / 1024
+        vm_growth_mib = (proc_status_kib(daemon.pid, "VmSize") - vm_before) / 1024
         if vm_growth_mib >= PING_VM_GROWTH_LIMIT_MIB:
             raise RuntimeError(
                 "daemon VmSize grew %.0f MiB over %d short connections"
                 % (vm_growth_mib, PING_CONNECTIONS)
+            )
+
+        # Nor may it keep what a collected submission carried: one ~1 MiB
+        # source (a guest padded with comment lines; one golden image
+        # serves every copy) submitted many times over one connection may
+        # not grow its resident set by a source per submission.
+        guest = sources[programs[0]]
+        padding = "; " + "x" * 77 + "\n"
+        big = guest + padding * ((BIG_SOURCE_BYTES - len(guest)) // len(padding))
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.connect(sock_path)
+        sock_file = sock.makefile("rb")
+        for i in range(BIG_SUBMISSIONS):
+            if i == BIG_WARMUP_SUBMISSIONS:
+                rss_before = proc_status_kib(daemon.pid, "VmRSS")
+            done = submit(sock, sock_file, big)
+            if "status=completed" not in done:
+                raise RuntimeError("large submission did not complete: %r" % done)
+        rss_growth_mib = (proc_status_kib(daemon.pid, "VmRSS") - rss_before) / 1024
+        sock.close()
+        if rss_growth_mib >= BIG_RSS_GROWTH_LIMIT_MIB:
+            raise RuntimeError(
+                "daemon VmRSS grew %.0f MiB over %d submissions of a %d KiB source"
+                % (rss_growth_mib, BIG_SUBMISSIONS - BIG_WARMUP_SUBMISSIONS,
+                   len(big) >> 10)
             )
 
         # Clean shutdown over the protocol.
@@ -195,6 +228,8 @@ def main():
     finally:
         if daemon.poll() is None:
             daemon.kill()
+            daemon.wait()
+        shutil.rmtree(tmpdir, ignore_errors=True)
 
 
 if __name__ == "__main__":
